@@ -2,17 +2,17 @@
 //
 // Two questions:
 //   1. What does analysis cost per plan? AnalyzeAbs / AnalyzePlan over
-//      representative optimized plans — this runs once per fresh compile
-//      in the service, so it must be cheap next to compilation.
+//      representative optimized plans — AnalyzePlan runs on request
+//      (REPL `:lint`), and both must stay cheap next to compilation.
 //   2. What do unchecked kernels buy? The same subscript-carrying
 //      tabulation executed with proof-gated unchecked kernels
-//      (AQL_EXEC_UNCHECKED=1, the default) vs forced per-cell checking
-//      (=0). The delta is the per-element bounds-check + ⊥-protocol cost
-//      the admission proofs eliminate.
+//      (ExecOptions::unchecked, the default) vs forced per-cell checking
+//      (unchecked off). The delta is the per-element bounds-check +
+//      ⊥-protocol cost the admission proofs eliminate.
 //
 // Series:
 //   BM_AnalyzeAbs/...      — product-domain analysis per plan
-//   BM_AnalyzePlan/...     — analysis + bounds + lint (service path)
+//   BM_AnalyzePlan/...     — analysis + bounds + lint (the `:lint` path)
 //   BM_AnalyzeAffine/...   — relational affine domain per plan
 //   BM_KernelChecked/n     — tab body a[i]+a[i] with per-cell checks
 //   BM_KernelUnchecked/n   — same plan, proofs admit the unchecked loop
@@ -22,12 +22,12 @@
 //       form cancels to exactly i. The pair prices the same per-cell
 //       bounds-check + ⊥-protocol delta on an affine-only admission.
 
-#include <cstdlib>
 #include <string>
 
 #include "analysis/absint.h"
 #include "analysis/affine.h"
 #include "analysis/lint.h"
+#include "base/cancel.h"
 #include "bench_util.h"
 #include "exec/compiled.h"
 
@@ -88,11 +88,18 @@ void BM_AnalyzeAffine(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeAffine)->DenseRange(0, 3);
 
+// The process defaults with unchecked kernels switched on or off.
+ExecOptions Unchecked(bool on) {
+  ExecOptions o = DefaultExecOptions();
+  o.unchecked = on;
+  return o;
+}
+
 // Subscript-carrying body: before the proof annotations this plan was
 // rejected by the kernel (subscripts forced the boxed per-cell path);
 // with them it runs as one typed loop, checked or unchecked.
 void RunKernel(benchmark::State& state, bool unchecked) {
-  ::setenv("AQL_EXEC_UNCHECKED", unchecked ? "1" : "0", 1);
+  ExecScope scope(nullptr, Unchecked(unchecked));
   System* sys = SharedSystem();
   size_t n = size_t(state.range(0));
   std::string q = "[[ a[i] + a[(i + 1) % " + std::to_string(n) + "] | \\i < " +
@@ -113,7 +120,6 @@ void RunKernel(benchmark::State& state, bool unchecked) {
     }
     benchmark::DoNotOptimize(r);
   }
-  ::setenv("AQL_EXEC_UNCHECKED", "1", 1);
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
 
@@ -128,7 +134,7 @@ BENCHMARK(BM_KernelUnchecked)->RangeMultiplier(8)->Range(4096, 262144);
 // regression in the affine prover shows up as a skip, not a silently
 // checked run.
 void RunAffineGather(benchmark::State& state, bool unchecked) {
-  ::setenv("AQL_EXEC_UNCHECKED", unchecked ? "1" : "0", 1);
+  ExecScope scope(nullptr, Unchecked(unchecked));
   System* sys = SharedUnoptimizedSystem();
   size_t n = size_t(state.range(0));
   (void)sys->DefineVal("a", NatVector(RandomNats(n, 1000, 3)));
@@ -155,7 +161,6 @@ void RunAffineGather(benchmark::State& state, bool unchecked) {
     }
     benchmark::DoNotOptimize(r);
   }
-  ::setenv("AQL_EXEC_UNCHECKED", "1", 1);
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
 

@@ -1,5 +1,5 @@
 // Data-parallel execution: the chunked tabulation/kernel paths under
-// different AQL_EXEC_THREADS settings, on the compiled backend.
+// different thread counts, on the compiled backend.
 //
 // Series:
 //   BM_TabNatKernel/{n}/{t}    — fused nat kernel, n×n tabulation, t threads
@@ -7,14 +7,14 @@
 //   BM_TabBoxedGeneric/{n}/{t} — tuple body: generic boxed chunked path
 //   BM_ParallelSum/{n}/{t}     — Sum with parallel body evaluation
 //
-// Thread counts are applied via the AQL_EXEC_THREADS knob, which the exec
-// layer re-reads on every top-level Run; the benchmark binary itself stays
-// single-threaded. On a 1-core container all t>1 series measure the
-// scheduling overhead floor, not speedup — see EXPERIMENTS.md.
+// Thread counts are applied through the ExecOptions of an ExecScope
+// around each series; the benchmark binary itself stays single-threaded.
+// On a 1-core container all t>1 series measure the scheduling overhead
+// floor, not speedup — see EXPERIMENTS.md.
 
-#include <cstdlib>
 #include <string>
 
+#include "base/cancel.h"
 #include "bench_util.h"
 #include "exec/compiled.h"
 
@@ -22,14 +22,17 @@ namespace aql {
 namespace bench {
 namespace {
 
-void SetThreads(int64_t t) {
-  ::setenv("AQL_EXEC_THREADS", std::to_string(t).c_str(), 1);
-  // Keep the threshold at its default so the t=1 series exercises the
-  // plain sequential path and t>1 the chunked one.
+// The process defaults with `t` threads. The threshold stays at its
+// default so the t=1 series exercises the plain sequential path and t>1
+// the chunked one.
+ExecOptions Threads(int64_t t) {
+  ExecOptions o = DefaultExecOptions();
+  o.threads = static_cast<int>(t);
+  return o;
 }
 
 void RunCompiledQuery(benchmark::State& state, const std::string& query) {
-  SetThreads(state.range(1));
+  ExecScope scope(nullptr, Threads(state.range(1)));
   System* sys = SharedSystem();
   ExprPtr q = MustCompile(sys, state, query);
   if (!q) return;
@@ -46,7 +49,6 @@ void RunCompiledQuery(benchmark::State& state, const std::string& query) {
     }
     benchmark::DoNotOptimize(r);
   }
-  ::unsetenv("AQL_EXEC_THREADS");
   state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
 }
 

@@ -21,7 +21,7 @@
 // under the byte budget and matches the eager read bit-for-bit, the
 // window read touches measurably fewer tiles than a full materialize,
 // and a repeated aggregate over the mostly-constant grid prunes tile
-// reads while staying bit-identical to AQL_EXEC_PUSHDOWN=0.
+// reads while staying bit-identical to the generic fold (pushdown off).
 
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "base/cancel.h"
 #include "bench_util.h"
 #include "core/expr.h"
 #include "exec/compiled.h"
@@ -223,6 +224,13 @@ std::unique_ptr<exec::Program> CompilePruneSum(std::string* err) {
   return std::make_unique<exec::Program>(std::move(*program));
 }
 
+// The process defaults with subslab/aggregate pushdown switched on or off.
+ExecOptions Pushdown(bool on) {
+  ExecOptions o = DefaultExecOptions();
+  o.pushdown = on;
+  return o;
+}
+
 void RunAggregate(benchmark::State& state, bool pushdown) {
   EnsurePruneDataFile();
   ::setenv("AQL_TILE_CACHE_BYTES", std::to_string(kBudget).c_str(), 1);
@@ -232,7 +240,7 @@ void RunAggregate(benchmark::State& state, bool pushdown) {
     state.SkipWithError(err.c_str());
     return;
   }
-  ::setenv("AQL_EXEC_PUSHDOWN", pushdown ? "1" : "0", 1);
+  ExecScope scope(nullptr, Pushdown(pushdown));
   {
     auto warm = program->Run();  // first pass loads every tile, warms zones
     if (!warm.ok()) {
@@ -248,7 +256,6 @@ void RunAggregate(benchmark::State& state, bool pushdown) {
     }
     benchmark::DoNotOptimize(r);
   }
-  ::setenv("AQL_EXEC_PUSHDOWN", "1", 1);
   ::unsetenv("AQL_TILE_CACHE_BYTES");
   state.SetBytesProcessed(int64_t(state.iterations()) *
                           int64_t(kRows * kCols * 8));
@@ -328,7 +335,7 @@ int Smoke() {
 
   // 3. A repeated aggregate over the mostly-constant grid answers its
   //    constant tiles from zone maps (storage.tile.prunes moves) and stays
-  //    bit-identical to the generic AQL_EXEC_PUSHDOWN=0 fold.
+  //    bit-identical to the generic fold (pushdown off).
   {
     EnsurePruneDataFile();
     std::string err;
@@ -339,14 +346,14 @@ int Smoke() {
       std::printf("smoke pruned-agg      FAIL (%s)\n", err.c_str());
       ++failures;
     } else {
-      ::setenv("AQL_EXEC_PUSHDOWN", "1", 1);
       auto warm = program->Run();  // loads every tile, warms the zones
       uint64_t before = storage::TileStore::Global().stats().prunes;
       auto repeat = program->Run();
       pruned = storage::TileStore::Global().stats().prunes - before;
-      ::setenv("AQL_EXEC_PUSHDOWN", "0", 1);
-      auto generic = program->Run();
-      ::setenv("AQL_EXEC_PUSHDOWN", "1", 1);
+      auto generic = [&] {
+        ExecScope scope(nullptr, Pushdown(false));
+        return program->Run();
+      }();
       bool identical = warm.ok() && repeat.ok() && generic.ok() &&
                        *warm == *generic && *repeat == *generic;
       ok = identical && pruned > 0;

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "analysis/absint.h"
+#include "analysis/affine.h"
 #include "base/strings.h"
 #include "core/expr_ops.h"
 
@@ -93,8 +94,11 @@ class BoundsDomain {
     bool proven = proven_dims == k;
     if (proven) ++out_->proven; else ++out_->unproven;
     if (out_->facts.size() < BoundsSummary::kMaxFacts) {
-      out_->facts.push_back(
-          {AbsPathString(path), e->ToString(), proven, std::move(detail)});
+      // The array renders as <array d1 ...>, not element by element, so
+      // the summary costs O(term) even over a tiled literal.
+      out_->facts.push_back({AbsPathString(path),
+                             StrCat(RenderArrayExpr(arr), "[", idx->ToString(), "]"),
+                             proven, std::move(detail)});
     }
   }
 

@@ -25,7 +25,7 @@
 //
 // Entry points: Lint(e) for the warnings alone; AnalyzePlan(e) bundles the
 // warnings with the root abstract value and the bounds summary — the
-// per-plan fact record the service caches alongside the compiled plan.
+// per-plan fact record REPL `:lint` (System::Lint) prints on request.
 
 #ifndef AQL_ANALYSIS_LINT_H_
 #define AQL_ANALYSIS_LINT_H_
@@ -51,7 +51,6 @@ struct LintWarning {
 struct LintReport {
   std::vector<LintWarning> warnings;
 
-  bool empty() const { return warnings.empty(); }
   // "lint: N warning(s)\n" + one line per warning; "lint: clean\n" if none.
   std::string ToString() const;
 };
@@ -59,8 +58,8 @@ struct LintReport {
 // Lints a core term (typically an optimized plan). Never fails.
 LintReport Lint(const ExprPtr& e);
 
-// Everything the static analyses know about one plan, computed once at
-// optimize time and cached with it.
+// Everything the static analyses know about one plan, computed on request
+// (System::Lint).
 struct PlanFacts {
   AbsVal root;            // shape/definedness/cardinality of the result
   BoundsSummary bounds;

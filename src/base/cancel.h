@@ -14,6 +14,10 @@
 // evaluations on different threads are independently cancellable and
 // code outside any ExecScope pays a single thread-local pointer load per
 // loop iteration.
+//
+// The same scope carries the query's ExecOptions: the execution knobs,
+// parsed from the environment once per process and then passed by value,
+// so two configurations can run side by side in one process.
 
 #ifndef AQL_BASE_CANCEL_H_
 #define AQL_BASE_CANCEL_H_
@@ -46,9 +50,6 @@ class CancelToken {
   void SetTimeout(std::chrono::nanoseconds timeout) {
     SetDeadline(std::chrono::steady_clock::now() + timeout);
   }
-  bool has_deadline() const {
-    return deadline_ns_.load(std::memory_order_relaxed) != kNoDeadline;
-  }
 
   // OK, or the Status explaining why evaluation must stop.
   Status Check() const {
@@ -67,18 +68,47 @@ class CancelToken {
   std::atomic<int64_t> deadline_ns_{kNoDeadline};
 };
 
-// RAII: installs `token` as the current thread's interrupt source for the
-// lifetime of the scope. Scopes nest; the innermost token wins.
+// Execution knobs of both backends. Read by the loop nodes on every run,
+// so a plain value: no parsing, locking or environment access.
+struct ExecOptions {
+  int threads = 1;                // workers for data-parallel loops (>= 1)
+  uint64_t par_threshold = 4096;  // minimum element count to go parallel
+  uint64_t max_elems = uint64_t{1} << 36;  // element cap of one tabulation
+  bool pushdown = true;   // false: tiled tabs and sums take the generic path
+  bool unchecked = true;  // false: proof-admitted kernels keep per-cell checks
+};
+
+// Options from knob text as getenv returns it (nullptr when unset), under
+// base/env.h's strict parse: a malformed or zero value falls back to its
+// default, and the thread count defaults to `hardware_threads`.
+ExecOptions ParseExecOptions(const char* threads, const char* par_threshold,
+                             const char* max_elems, int hardware_threads);
+
+// The process defaults: AQL_EXEC_THREADS, AQL_EXEC_PAR_THRESHOLD,
+// AQL_EXEC_MAX_ELEMS and the hardware thread count, read once at first use.
+const ExecOptions& DefaultExecOptions();
+
+// The options of the innermost ExecScope on this thread, else the defaults.
+const ExecOptions& CurrentExecOptions();
+
+// RAII: installs `token` as the current thread's interrupt source and
+// `options` as its execution knobs for the lifetime of the scope. Scopes
+// nest; the innermost wins, and by default keeps the options in effect.
 class ExecScope {
  public:
-  explicit ExecScope(const CancelToken* token);
+  explicit ExecScope(const CancelToken* token,
+                     const ExecOptions& options = CurrentExecOptions());
   ~ExecScope();
 
   ExecScope(const ExecScope&) = delete;
   ExecScope& operator=(const ExecScope&) = delete;
 
  private:
-  const CancelToken* previous_;
+  friend const CancelToken* CurrentCancelToken();
+  friend const ExecOptions& CurrentExecOptions();
+  const CancelToken* const token_;
+  const ExecOptions options_;
+  const ExecScope* const previous_;
 };
 
 // The token installed on this thread, or nullptr.

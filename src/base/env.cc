@@ -19,13 +19,15 @@ bool ParseU64Strict(std::string_view s, uint64_t* out) {
   return true;
 }
 
+uint64_t ParseU64Or(const char* s, uint64_t fallback) {
+  uint64_t v = 0;
+  return s != nullptr && ParseU64Strict(s, &v) ? v : fallback;
+}
+
 // getenv is listed mt-unsafe only against concurrent setenv; nothing in
 // this codebase mutates the environment after main starts.
 uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
-  if (env == nullptr) return fallback;
-  uint64_t v = 0;
-  return ParseU64Strict(env, &v) ? v : fallback;
+  return ParseU64Or(std::getenv(name), fallback);  // NOLINT(concurrency-mt-unsafe)
 }
 
 bool EnvFlag(const char* name) {

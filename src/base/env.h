@@ -23,6 +23,10 @@ namespace aql {
 // junk, overflow) returns false and leaves *out untouched.
 bool ParseU64Strict(std::string_view s, uint64_t* out);
 
+// ParseU64Strict on a knob value as getenv returns it: `fallback` when `s`
+// is nullptr (unset) or malformed.
+uint64_t ParseU64Or(const char* s, uint64_t fallback);
+
 // Reads environment variable `name` under ParseU64Strict; returns
 // `fallback` when the variable is unset, empty, or malformed.
 uint64_t EnvU64(const char* name, uint64_t fallback);

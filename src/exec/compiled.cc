@@ -8,7 +8,6 @@
 
 #include "analysis/affine.h"
 #include "base/cancel.h"
-#include "base/env.h"
 #include "base/strings.h"
 #include "base/sync.h"
 #include "core/expr_ops.h"
@@ -510,7 +509,7 @@ class SumNode : public Node {
         source_(std::move(source)),
         pushdown_(std::move(pushdown)) {}
   Result<Value> Run(Frame* f) const override {
-    if (pushdown_ != nullptr && EnvU64("AQL_EXEC_PUSHDOWN", 1) != 0) {
+    if (pushdown_ != nullptr && CurrentExecOptions().pushdown) {
       return RunPruned();
     }
     AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
@@ -753,7 +752,7 @@ class TabNode : public Node {
     // point keeps its ⊥ hole (bit-identical to the generic path; in-range
     // elements are decoded by the very same tile reads either way).
     if (pushdown_ != nullptr && total <= kUnboxedAllocLimit &&
-        EnvU64("AQL_EXEC_PUSHDOWN", 1) != 0) {
+        CurrentExecOptions().pushdown) {
       const ArrayRep& base = pushdown_->base.array();
       bool fits = base.dims.size() == k;
       bool unit = true;
@@ -792,11 +791,11 @@ class TabNode : public Node {
     // point aborts the kernel and re-runs generically (the partial array
     // keeps per-point ⊥ holes, which the unboxed payloads cannot hold).
     // When instantiation discharges every ⊥ source statically, the loop
-    // drops the per-cell checks entirely (re-read the kill switch per run
-    // so tests and benchmarks can toggle it in-process).
+    // drops the per-cell checks entirely, unless ExecOptions::unchecked is
+    // off (the checked reference path for tests and benchmarks).
     if (kernel_spec_ != nullptr && total <= kUnboxedAllocLimit) {
       if (std::unique_ptr<Kernel> kernel = Kernel::Instantiate(*kernel_spec_, *f)) {
-        if (kernel->unchecked() && EnvU64("AQL_EXEC_UNCHECKED", 1) != 0) {
+        if (kernel->unchecked() && CurrentExecOptions().unchecked) {
           AQL_ASSIGN_OR_RETURN(Value arr, RunKernelUnchecked(*kernel, dims, total));
           GlobalExecStats().unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
           GlobalExecStats().unchecked_kernels.fetch_add(1, std::memory_order_relaxed);

@@ -33,8 +33,8 @@
 // Instantiate re-validates them against the concrete frame. When every ⊥
 // source is discharged the kernel reports unchecked() and exposes total
 // Eval*Unchecked entry points — the §5 bound-check elimination, performed
-// with a proof instead of a prayer. AQL_EXEC_UNCHECKED=0 disables the
-// unchecked path at run time (docs/EXEC.md).
+// with a proof instead of a prayer. ExecOptions::unchecked = false
+// disables the unchecked path at run time (docs/EXEC.md).
 
 #ifndef AQL_EXEC_KERNEL_H_
 #define AQL_EXEC_KERNEL_H_

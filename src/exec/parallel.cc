@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "base/cancel.h"
-#include "base/env.h"
 #include "base/sync.h"
 #include "base/thread_pool.h"
 #include "obs/trace.h"
@@ -18,20 +15,14 @@ namespace exec {
 
 namespace {
 
-int HardwareThreads() {
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 // Lazily constructed, never destroyed: workers may still be parked in the
 // pool at process exit, and tearing the pool down from a static destructor
 // would race with other static teardown.
 ThreadPool& Pool() {
   static ThreadPool* pool = [] {
-    // Size for the largest plausible AQL_EXEC_THREADS at first use; the
-    // per-call thread count only decides how many helper tasks we submit.
-    int n = std::max(HardwareThreads(),
-                     static_cast<int>(EnvU64("AQL_EXEC_THREADS", 0)));
+    // Size for the larger of the default and the first loop's thread count;
+    // the per-call thread count only decides how many helpers we submit.
+    int n = std::max(DefaultExecOptions().threads, CurrentExecOptions().threads);
     return new ThreadPool(static_cast<size_t>(std::max(n - 1, 1)),
                           /*max_queue=*/256, "exec.pool");
   }();
@@ -89,26 +80,19 @@ void RunChunks(ForState& st) {
 
 }  // namespace
 
-int ExecThreads() {
-  uint64_t n = EnvU64("AQL_EXEC_THREADS", 0);
-  if (n > 0) return static_cast<int>(std::min<uint64_t>(n, 256));
-  return HardwareThreads();
-}
-
-uint64_t ParThreshold() {
-  uint64_t t = EnvU64("AQL_EXEC_PAR_THRESHOLD", 4096);
-  return std::max<uint64_t>(t, 1);
-}
+int ExecThreads() { return CurrentExecOptions().threads; }
 
 bool ShouldParallelize(uint64_t total) {
-  return ExecThreads() > 1 && total >= ParThreshold();
+  const ExecOptions& o = CurrentExecOptions();
+  return o.threads > 1 && total >= o.par_threshold;
 }
 
 Status ParallelFor(uint64_t total,
                    const std::function<Status(uint64_t, uint64_t)>& fn) {
   if (total == 0) return Status::OK();
-  int threads = ExecThreads();
-  if (threads <= 1 || total < ParThreshold()) return fn(0, total);
+  if (!ShouldParallelize(total)) return fn(0, total);
+  const ExecOptions& options = CurrentExecOptions();
+  const int threads = options.threads;
 
   obs::Span span("exec", "exec.parallel_for");
   span.AddCount("elems", total);
@@ -129,15 +113,16 @@ Status ParallelFor(uint64_t total,
   GlobalExecStats().par_tasks.fetch_add(1, std::memory_order_relaxed);
 
   // Helper tasks re-install the caller's CancelToken so CheckInterrupt()
-  // inside fn observes the same deadline/cancellation as the caller. A
+  // inside fn observes the same deadline/cancellation as the caller, and
+  // a copy of its options so nested loops and kernels decide alike. A
   // task that only starts after the loop is drained claims no chunk and
   // never dereferences `token` or `fn`, so their lifetimes end safely
   // with this call.
   const CancelToken* token = CurrentCancelToken();
   int helpers = 0;
   for (int i = 0; i < threads - 1; ++i) {
-    bool ok = Pool().TrySubmit([st, token] {
-      ExecScope scope(token);
+    bool ok = Pool().TrySubmit([st, token, options] {
+      ExecScope scope(token, options);
       RunChunks(*st);
     });
     if (!ok) break;  // full pool: the caller just runs more chunks itself

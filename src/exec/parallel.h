@@ -10,16 +10,16 @@
 // Contract:
 //   - fn must write only to disjoint state per [begin, end) range;
 //     the row-major output placement of tabulation makes that natural.
-//   - Worker tasks run under the caller's CancelToken (re-installed via
-//     ExecScope), so deadlines and cancellation bite inside chunks too.
+//   - Worker tasks run under the caller's CancelToken and ExecOptions
+//     (re-installed via ExecScope), so deadlines and cancellation bite
+//     inside chunks too.
 //   - The returned Status is the first non-OK status in *chunk order*,
 //     which for a lowest-index-wins error discipline equals the error the
 //     sequential loop would have produced.
 //
-// Thread count comes from AQL_EXEC_THREADS (default: hardware
-// concurrency), re-read on every call so tests can flip it in-process.
-// AQL_EXEC_PAR_THRESHOLD overrides the minimum element count below which
-// loops stay sequential.
+// The thread count and the minimum element count below which loops stay
+// sequential come from CurrentExecOptions() (base/cancel.h), and helpers
+// run under the caller's options too.
 
 #ifndef AQL_EXEC_PARALLEL_H_
 #define AQL_EXEC_PARALLEL_H_
@@ -36,12 +36,8 @@ namespace exec {
 // Effective worker count for data-parallel loops (>= 1).
 int ExecThreads();
 
-// Minimum element count for going parallel (AQL_EXEC_PAR_THRESHOLD,
-// default 4096).
-uint64_t ParThreshold();
-
 // True iff a loop over `total` elements should run in parallel under the
-// current environment (threads > 1 and total >= threshold).
+// current options (threads > 1 and total >= par_threshold).
 bool ShouldParallelize(uint64_t total);
 
 // Runs fn over contiguous chunks covering [0, total). Blocks until every

@@ -109,10 +109,9 @@ IoRegistry::ReaderFn MakeNetcdfReader(size_t rank) {
     // tab/sum pipelines stream it tile-by-tile instead of materializing.
     // Small reads keep the eager flat buffer (no behavior change, and the
     // pread-backed reader already bounds their memory to the slab).
-    const bool tiled_on = EnvU64("AQL_TILED_READ", 1) != 0;
     const uint64_t threshold =
         EnvU64("AQL_TILED_READ_THRESHOLD", 8ull << 20) / sizeof(double);
-    if (tiled_on && !overflow && slab_elems >= std::max<uint64_t>(threshold, 1)) {
+    if (!overflow && slab_elems >= std::max<uint64_t>(threshold, 1)) {
       AQL_ASSIGN_OR_RETURN(
           std::shared_ptr<const LazyRealSlab> slab,
           storage::TileStore::Global().OpenSlab(path, var_name, lower, count));

@@ -6,7 +6,7 @@
 #include <cstring>
 #include <limits>
 
-#include "base/env.h"
+#include "base/cancel.h"
 #include "base/strings.h"
 
 namespace aql {
@@ -574,16 +574,6 @@ uint64_t HashValue(const Value& v) {
   return h;
 }
 
-uint64_t MaxArrayElements() {
-  // Re-read per call (one getenv per tabulation, not per element) so tests
-  // can vary the cap within one process. Strict parse: malformed values
-  // ("12abc", "-1", "") and 0 fall back to the default instead of being
-  // half-parsed into a bogus cap.
-  constexpr uint64_t kDefault = uint64_t{1} << 36;
-  uint64_t v = EnvU64("AQL_EXEC_MAX_ELEMS", kDefault);
-  return v == 0 ? kDefault : v;
-}
-
 Result<uint64_t> CheckedVolume(const std::vector<uint64_t>& dims) {
   uint64_t total = 1;
   for (uint64_t d : dims) {
@@ -592,7 +582,7 @@ Result<uint64_t> CheckedVolume(const std::vector<uint64_t>& dims) {
     }
     total *= d;
   }
-  uint64_t cap = MaxArrayElements();
+  const uint64_t cap = CurrentExecOptions().max_elems;
   if (total > cap) {
     return Status::EvalError(
         StrCat("tabulation of ", total, " elements exceeds the cap of ", cap,

@@ -254,14 +254,11 @@ class Value {
   Rep rep_;
 };
 
-// The tabulation element cap: AQL_EXEC_MAX_ELEMS when set (> 0), else
-// 2^36. Bounds whose product exceeds this (or overflows uint64_t) are
-// rejected by both backends with an EvalError instead of being silently
-// clamped. Re-read per call so tests can vary the cap.
-uint64_t MaxArrayElements();
-
 // Overflow-checked row-major volume of a dims vector, validated against
-// MaxArrayElements(). EvalError on overflow or cap excess.
+// the tabulation element cap CurrentExecOptions().max_elems
+// (AQL_EXEC_MAX_ELEMS, default 2^36). Both backends reject bounds whose
+// product exceeds the cap or overflows uint64_t with an EvalError instead
+// of silently clamping them.
 Result<uint64_t> CheckedVolume(const std::vector<uint64_t>& dims);
 
 // Structural hash consistent with the linear order:

@@ -26,9 +26,9 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(const ExprPtr& resolved) {
 
 namespace {
 
-// Approximate footprint of one entry. The exec::Program and PlanFacts are
-// opaque here; a fixed overhead per entry keeps the gauge honest enough
-// without a deep-size protocol on every plan component.
+// Approximate footprint of one entry. The exec::Program is opaque here; a
+// fixed overhead per entry keeps the gauge honest enough without a
+// deep-size protocol on every plan component.
 uint64_t PlanBytes(const CachedPlan& plan) {
   constexpr uint64_t kEntryOverhead = 1024;
   uint64_t b = kEntryOverhead;

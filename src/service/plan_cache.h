@@ -8,9 +8,9 @@
 // by HashExpr and confirmed by AlphaEqual, so alpha-variants — e.g. the
 // same comprehension written with different binder names — also share.
 //
-// A cached plan bundles the optimized core term, its inferred type, and
-// the exec::Program compiled from it. Programs are immutable and safe to
-// run concurrently, so one entry serves any number of workers at once.
+// A cached plan bundles the optimized core term and the exec::Program
+// compiled from it. Programs are immutable and safe to run concurrently,
+// so one entry serves any number of workers at once.
 //
 // Thread-safe; every operation takes one internal mutex. The expensive
 // parts (hashing, alpha-comparison) touch only immutable expression trees.
@@ -24,11 +24,9 @@
 #include <memory>
 #include <unordered_map>
 
-#include "analysis/lint.h"
 #include "base/sync.h"
 #include "core/expr.h"
 #include "exec/compiled.h"
-#include "types/type.h"
 
 namespace aql {
 namespace service {
@@ -37,12 +35,7 @@ namespace service {
 struct CachedPlan {
   ExprPtr resolved;   // cache key: resolved, pre-optimization core term
   ExprPtr optimized;  // after the rewrite pipeline
-  TypePtr type;       // inferred type of the query
   std::shared_ptr<const exec::Program> program;  // slot-compiled plan
-  // Static facts over `optimized` (analysis/lint.h): shape/definedness/
-  // cardinality, bounds proofs, lint warnings. Computed once per compile,
-  // amortized across every cached run.
-  std::shared_ptr<const analysis::PlanFacts> facts;
 };
 
 class PlanCache {
@@ -70,7 +63,7 @@ class PlanCache {
   uint64_t evictions() const;
   // Approximate heap bytes held by the cached plans (the resolved and
   // optimized terms via ApproxExprBytes, plus a fixed per-entry overhead
-  // standing in for the compiled program and facts). Reporting only — the
+  // standing in for the compiled program). Reporting only — the
   // eviction bound stays the entry-count capacity — surfaced as the
   // `cache.plans.bytes` gauge so both caches report memory honestly.
   uint64_t bytes() const;

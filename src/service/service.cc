@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -25,17 +24,6 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
                                    .count());
 }
 
-// The configured result-cache bound, after the environment knobs:
-// AQL_RESULT_CACHE set-but-falsey kills the cache outright (the boolean
-// must distinguish unset from "0", so it reads getenv directly);
-// AQL_RESULT_CACHE_BYTES resizes it.
-uint64_t EffectiveResultCacheBytes(const ServiceConfig& config) {
-  if (std::getenv("AQL_RESULT_CACHE") != nullptr && !EnvFlag("AQL_RESULT_CACHE")) {
-    return 0;
-  }
-  return EnvU64("AQL_RESULT_CACHE_BYTES", config.result_cache_bytes);
-}
-
 }  // namespace
 
 QueryService::QueryService(System* system, ServiceConfig config)
@@ -56,12 +44,11 @@ QueryService::QueryService(System* system, ServiceConfig config)
       exec_unboxed_arrays_(metrics_.GetCounter("exec.unboxed.arrays")),
       exec_unchecked_kernels_(metrics_.GetCounter("exec.unchecked.kernels")),
       slow_queries_(metrics_.GetCounter("obs.slow_queries")),
-      lint_warnings_(metrics_.GetCounter("analysis.lint.warnings")),
       compile_us_(metrics_.GetHistogram("latency.compile_us")),
       execute_us_(metrics_.GetHistogram("latency.execute_us")),
       script_us_(metrics_.GetHistogram("latency.script_us")),
       cache_(config.plan_cache_capacity),
-      result_cache_(EffectiveResultCacheBytes(config)),
+      result_cache_(EnvU64("AQL_RESULT_CACHE_BYTES", config.result_cache_bytes)),
       pool_(config.num_workers, config.max_queue, "service.pool") {
   if (config_.trace) obs::Tracer::Get().SetEnabled(true);
 }
@@ -93,9 +80,13 @@ QuerySubmission QueryService::Submit(std::string expression, QueryOptions option
     MutexLock lock(&inflight_mu_);
     ++inflight_;
   }
+  // The worker runs under the query's token and the submitting thread's
+  // execution options.
   bool admitted = pool_.TrySubmit(
-      [this, expression = std::move(expression), options, token, promise] {
-        Result<Value> result = RunQuery(expression, options, token.get());
+      [this, expression = std::move(expression), options, token, promise,
+       exec = CurrentExecOptions()] {
+        ExecScope scope(token.get(), exec);
+        Result<Value> result = RunQuery(expression, options);
         CountOutcome(result.status());
         promise->set_value(std::move(result));
         MutexLock lock(&inflight_mu_);
@@ -141,10 +132,9 @@ Result<Value> QueryService::Execute(std::string_view expression, QueryOptions op
 }
 
 Result<Value> QueryService::RunQuery(const std::string& expression,
-                                     const QueryOptions& options,
-                                     const CancelToken* token) {
+                                     const QueryOptions& options) {
   // Queued past the deadline, or cancelled before starting: don't compile.
-  if (token != nullptr) AQL_RETURN_IF_ERROR(token->Check());
+  AQL_RETURN_IF_ERROR(CheckInterrupt());
 
   // Slow-query logging needs the profile of *every* query, since a query
   // only reveals itself as slow once it has finished; the capture keeps
@@ -159,7 +149,6 @@ Result<Value> QueryService::RunQuery(const std::string& expression,
   auto run_timed = [&]() -> Result<Value> {
     obs::Span root("query", "query");
     ReaderMutexLock lock(&system_mu_);
-    ExecScope scope(token);
 
     auto compile_start = std::chrono::steady_clock::now();
     AQL_ASSIGN_OR_RETURN(ExprPtr core, system_->ParseToCore(expression));
@@ -181,7 +170,7 @@ Result<Value> QueryService::RunQuery(const std::string& expression,
     }
 
     AQL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan,
-                         GetPlan(expression, resolved, options.use_plan_cache));
+                         GetPlan(resolved, options.use_plan_cache));
     compile_us_->Record(ElapsedUs(compile_start));
     if (options.profile_out != nullptr && plan->program != nullptr &&
         !plan->program->proof().empty()) {
@@ -226,8 +215,8 @@ Result<Value> QueryService::RunQuery(const std::string& expression,
   return result;
 }
 
-Result<std::shared_ptr<const CachedPlan>> QueryService::GetPlan(
-    const std::string& expression, ExprPtr resolved, bool use_cache) {
+Result<std::shared_ptr<const CachedPlan>> QueryService::GetPlan(ExprPtr resolved,
+                                                                bool use_cache) {
   if (use_cache) {
     if (std::shared_ptr<const CachedPlan> hit = cache_.Lookup(resolved)) {
       cache_hits_->Increment();
@@ -235,7 +224,7 @@ Result<std::shared_ptr<const CachedPlan>> QueryService::GetPlan(
     }
     cache_misses_->Increment();
   }
-  AQL_ASSIGN_OR_RETURN(TypePtr type, system_->TypeOf(resolved));
+  AQL_RETURN_IF_ERROR(system_->TypeOf(resolved).status());
   ExprPtr optimized;
   if (config_.verify_plans) {
     analysis::Verifier verifier(system_->SchemeResolver());
@@ -253,23 +242,9 @@ Result<std::shared_ptr<const CachedPlan>> QueryService::GetPlan(
   }
   AQL_ASSIGN_OR_RETURN(exec::Program program,
                        exec::Compile(optimized, system_->PrimitiveResolver()));
-  // Static facts ride with the plan: computed once per fresh compile, then
-  // amortized across every cache hit.
-  auto facts =
-      std::make_shared<const analysis::PlanFacts>(analysis::AnalyzePlan(optimized));
-  if (config_.lint && !facts->lint.empty()) {
-    lint_warnings_->Increment(facts->lint.warnings.size());
-    std::string report = StrCat("lint: ", expression, "\n", facts->lint.ToString());
-    if (config_.lint_sink) {
-      config_.lint_sink(report);
-    } else {
-      std::fprintf(stderr, "%s", report.c_str());
-    }
-  }
   auto plan = std::make_shared<CachedPlan>(
-      CachedPlan{std::move(resolved), std::move(optimized), std::move(type),
-                 std::make_shared<const exec::Program>(std::move(program)),
-                 std::move(facts)});
+      CachedPlan{std::move(resolved), std::move(optimized),
+                 std::make_shared<const exec::Program>(std::move(program))});
   if (use_cache) cache_.Insert(plan);
   return std::shared_ptr<const CachedPlan>(std::move(plan));
 }

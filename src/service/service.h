@@ -62,10 +62,9 @@ struct ServiceConfig {
   // answered from their cached VALUE, and constant-extent subslab queries
   // from a slice of a cached containing slab, without compiling or
   // executing anything. Bounded by approximate bytes; 0 disables.
-  // Environment overrides (read once, at service construction):
-  // AQL_RESULT_CACHE=0 disables, AQL_RESULT_CACHE_BYTES=<n> sets the
-  // bound. Invalidation is automatic — see System::mutation_epoch() and
-  // docs/CACHING.md.
+  // AQL_RESULT_CACHE_BYTES=<n>, read once at service construction,
+  // overrides the bound (0 disables). Invalidation is automatic — see
+  // System::mutation_epoch() and docs/CACHING.md.
   uint64_t result_cache_bytes = 64ull << 20;
   // Applied when QueryOptions.deadline is zero; zero here means none.
   std::chrono::milliseconds default_deadline{0};
@@ -86,13 +85,6 @@ struct ServiceConfig {
   uint64_t slow_query_us = 0;
   // Destination for slow-query profiles; default writes to stderr.
   std::function<void(const std::string&)> slow_query_sink = {};
-  // Lint every freshly compiled plan (analysis/lint.h). Warnings never
-  // fail the query: each report is emitted through lint_sink and counted
-  // in `analysis.lint.warnings`. The facts themselves are computed and
-  // cached regardless of this flag; it only controls reporting.
-  bool lint = false;
-  // Destination for lint reports; default writes to stderr.
-  std::function<void(const std::string&)> lint_sink = {};
 };
 
 struct QueryOptions {
@@ -126,8 +118,6 @@ class QuerySubmission {
     if (token_) token_->Cancel();
   }
 
-  const std::shared_ptr<CancelToken>& token() const { return token_; }
-
  private:
   friend class QueryService;
   std::future<Result<Value>> future_;
@@ -160,9 +150,10 @@ class QueryService {
   // Queries admitted but not yet finished (queued + executing).
   size_t InFlight() const;
 
-  // Admits a pure-expression query to the worker pool. When the admission
-  // queue is full the returned submission resolves immediately with
-  // ResourceExhausted.
+  // Admits a pure-expression query to the worker pool. The query runs
+  // under the calling thread's CurrentExecOptions() (base/cancel.h). When
+  // the admission queue is full the returned submission resolves
+  // immediately with ResourceExhausted.
   QuerySubmission Submit(std::string expression, QueryOptions options = {});
 
   // Submit + Wait, for callers without their own concurrency.
@@ -178,7 +169,6 @@ class QueryService {
   // Non-const access for administrative operations (the REPL's
   // `:cache clear`); ResultCache is internally synchronized.
   ResultCache* mutable_result_cache() { return &result_cache_; }
-  size_t num_workers() const { return pool_.num_threads(); }
 
   // ":stats" rendering: configuration line + every counter and histogram.
   std::string StatsReport() const;
@@ -193,13 +183,11 @@ class QueryService {
  private:
   // The worker-side path: compile (with plan cache) + run, under the
   // shared lock and the query's ExecScope.
-  Result<Value> RunQuery(const std::string& expression, const QueryOptions& options,
-                         const CancelToken* token);
-  // `resolved` is the already-resolved core term for `expression` (the
+  Result<Value> RunQuery(const std::string& expression, const QueryOptions& options);
+  // `resolved` is the already-resolved core term of the query (the
   // result-cache key, computed by RunQuery before the lookup); kept by
   // value so the plan can own it.
-  Result<std::shared_ptr<const CachedPlan>> GetPlan(const std::string& expression,
-                                                    ExprPtr resolved, bool use_cache);
+  Result<std::shared_ptr<const CachedPlan>> GetPlan(ExprPtr resolved, bool use_cache);
   void CountOutcome(const Status& status);
 
   System* const system_;
@@ -226,7 +214,6 @@ class QueryService {
   Counter* exec_unboxed_arrays_;
   Counter* exec_unchecked_kernels_;
   Counter* slow_queries_;
-  Counter* lint_warnings_;
   Histogram* compile_us_;
   Histogram* execute_us_;
   Histogram* script_us_;

@@ -269,10 +269,12 @@ Result<std::shared_ptr<const LazyRealSlab>> TileStore::OpenSlab(
   // since tile indexes would alias.
   const uint64_t tile_bytes = std::max<uint64_t>(EnvU64("AQL_TILE_BYTES", kDefaultTileBytes),
                                                  sizeof(double));
+  const uint64_t budget = Budget();
 
   std::shared_ptr<const Dataset> ds;
   {
     MutexLock lock(&mu_);
+    budget_ = budget;
     auto it = datasets_.find(key);
     if (it != datasets_.end()) {
       const Dataset& d = *it->second;
@@ -459,7 +461,7 @@ std::shared_ptr<const std::vector<double>> TileStore::InsertTile(
     lru_.splice(lru_.begin(), lru_, it->second.lru);
     return it->second.data;
   }
-  const uint64_t budget = Budget();
+  const uint64_t budget = budget_;
   const uint64_t tile_bytes = data->size() * sizeof(double) + 64;
   if (tile_bytes > budget) {
     // Oversize for the whole budget: serve uncached so resident bytes

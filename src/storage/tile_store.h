@@ -25,7 +25,8 @@
 // buffer); that duplicate read is accepted in exchange for never holding
 // the lock across I/O.
 //
-// Knobs (re-read per call, strict parse via base/env.h):
+// Knobs (re-read per OpenSlab, never while tiles are read; strict parse
+// via base/env.h):
 //   AQL_TILE_CACHE_BYTES  cache budget in bytes       (default 256 MiB)
 //   AQL_TILE_BYTES        target tile size in bytes   (default   1 MiB)
 
@@ -70,8 +71,8 @@ struct ZoneMap {
 
 class TileStore {
  public:
-  // max_bytes == 0 reads AQL_TILE_CACHE_BYTES on every insertion, so
-  // tests can shrink the budget mid-process; a nonzero value pins it.
+  // max_bytes == 0 reads AQL_TILE_CACHE_BYTES on every OpenSlab, so tests
+  // can shrink the budget mid-process; a nonzero value pins it.
   explicit TileStore(uint64_t max_bytes = 0);
   ~TileStore();
 
@@ -148,6 +149,7 @@ class TileStore {
   std::unordered_map<TileKey, Entry, TileKeyHash> tiles_ AQL_GUARDED_BY(mu_);
   std::list<TileKey> lru_ AQL_GUARDED_BY(mu_);
   uint64_t bytes_ AQL_GUARDED_BY(mu_) = 0;
+  uint64_t budget_ AQL_GUARDED_BY(mu_) = 0;  // Budget() at the last OpenSlab
   TileStoreStats stats_ AQL_GUARDED_BY(mu_);
 };
 

@@ -8,15 +8,14 @@
 //      matches the materialized dims, cardinality intervals contain the
 //      actual element count, and `elems=hole-free` arrays contain no ⊥.
 //   2. Unchecked-kernel equivalence: running the compiled backend with
-//      AQL_EXEC_UNCHECKED=1 (proof-gated fast kernels) and =0 (always
+//      ExecOptions::unchecked on (proof-gated fast kernels) and off (always
 //      checked) must produce identical values on every random program —
 //      the admission proofs may never change semantics.
 
 #include "analysis/absint.h"
 
-#include <cstdlib>
-
 #include "analysis/lint.h"
+#include "base/cancel.h"
 #include "core/expr.h"
 #include "core/expr_ops.h"
 #include "env/system.h"
@@ -33,25 +32,12 @@ namespace {
 
 using aql::testing::ExprGen;
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = ::getenv(name);
-    if (old != nullptr) saved_ = old;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+// The process defaults with unchecked kernels switched on or off.
+ExecOptions Unchecked(bool on) {
+  ExecOptions o = DefaultExecOptions();
+  o.unchecked = on;
+  return o;
+}
 
 ExprPtr Nat(uint64_t n) { return Expr::NatConst(n); }
 ExprPtr Mul(ExprPtr a, ExprPtr b) {
@@ -261,7 +247,7 @@ TEST(LintTest, ReportsConstantFoldableGuard) {
 TEST(LintTest, CleanProgramIsClean) {
   ExprPtr e = Expr::Tab({"i"}, Mul(Expr::Var("i"), Expr::Var("i")), {Nat(8)});
   LintReport report = Lint(e);
-  EXPECT_TRUE(report.empty()) << report.ToString();
+  EXPECT_TRUE(report.warnings.empty()) << report.ToString();
 }
 
 TEST(LintTest, SystemLintRendersPlanFacts) {
@@ -365,15 +351,17 @@ TEST(UncheckedKernelTest, ProofGatedKernelsMatchCheckedExecution) {
     auto program = exec::Compile(e, nullptr);
     ASSERT_TRUE(program.ok()) << e->ToString();
     Result<Value> fast = [&] {
-      ScopedEnv on("AQL_EXEC_UNCHECKED", "1");
+      ExecScope scope(nullptr, Unchecked(true));
       return program->Run();
     }();
     Result<Value> checked = [&] {
-      ScopedEnv off("AQL_EXEC_UNCHECKED", "0");
+      ExecScope scope(nullptr, Unchecked(false));
       return program->Run();
     }();
     ASSERT_EQ(fast.ok(), checked.ok()) << e->ToString();
-    if (fast.ok()) EXPECT_EQ(*fast, *checked) << e->ToString();
+    if (fast.ok()) {
+      EXPECT_EQ(*fast, *checked) << e->ToString();
+    }
   }
 }
 
@@ -389,7 +377,7 @@ TEST(UncheckedKernelTest, ProvenSubscriptBodyRunsUnchecked) {
   const exec::ExecStats& stats = exec::GlobalExecStats();
   uint64_t before = stats.unchecked_kernels.load();
   Result<Value> fast = [&] {
-    ScopedEnv on("AQL_EXEC_UNCHECKED", "1");
+    ExecScope scope(nullptr, Unchecked(true));
     return sys.EvalCoreCompiled(*compiled);
   }();
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
@@ -397,7 +385,7 @@ TEST(UncheckedKernelTest, ProvenSubscriptBodyRunsUnchecked) {
       << "expected the proof-gated unchecked kernel to fire";
 
   Result<Value> checked = [&] {
-    ScopedEnv off("AQL_EXEC_UNCHECKED", "0");
+    ExecScope scope(nullptr, Unchecked(false));
     return sys.EvalCoreCompiled(*compiled);
   }();
   ASSERT_TRUE(checked.ok());
@@ -417,7 +405,7 @@ TEST(UncheckedKernelTest, ModIndexedSubscriptRunsUnchecked) {
   const exec::ExecStats& stats = exec::GlobalExecStats();
   uint64_t before = stats.unchecked_kernels.load();
   Result<Value> fast = [&] {
-    ScopedEnv on("AQL_EXEC_UNCHECKED", "1");
+    ExecScope scope(nullptr, Unchecked(true));
     return sys.EvalCoreCompiled(*compiled);
   }();
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
@@ -435,11 +423,11 @@ TEST(UncheckedKernelTest, UnsafeDivisionStaysChecked) {
   auto compiled = sys.Compile("[[ i % (i - 1) | \\i < 4 ]]");
   ASSERT_TRUE(compiled.ok());
   Result<Value> fast = [&] {
-    ScopedEnv on("AQL_EXEC_UNCHECKED", "1");
+    ExecScope scope(nullptr, Unchecked(true));
     return sys.EvalCoreCompiled(*compiled);
   }();
   Result<Value> checked = [&] {
-    ScopedEnv off("AQL_EXEC_UNCHECKED", "0");
+    ExecScope scope(nullptr, Unchecked(false));
     return sys.EvalCoreCompiled(*compiled);
   }();
   ASSERT_TRUE(fast.ok());

@@ -14,10 +14,10 @@
 
 #include "analysis/affine.h"
 
-#include <cstdlib>
 #include <random>
 
 #include "analysis/absint.h"
+#include "base/cancel.h"
 #include "core/expr.h"
 #include "core/expr_ops.h"
 #include "env/system.h"
@@ -34,25 +34,12 @@ namespace {
 
 using aql::testing::ExprGen;
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = ::getenv(name);
-    if (old != nullptr) saved_ = old;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+// The process defaults with unchecked kernels switched on or off.
+ExecOptions Unchecked(bool on) {
+  ExecOptions o = DefaultExecOptions();
+  o.unchecked = on;
+  return o;
+}
 
 ExprPtr Nat(uint64_t n) { return Expr::NatConst(n); }
 ExprPtr I() { return Expr::Var("i"); }
@@ -338,11 +325,11 @@ TEST(ProofTest, AffineAdmissionRecordsCertificate) {
 
   // And the proof is not vacuous: both modes agree.
   Result<Value> fast = [&] {
-    ScopedEnv on("AQL_EXEC_UNCHECKED", "1");
+    ExecScope scope(nullptr, Unchecked(true));
     return program->Run();
   }();
   Result<Value> checked = [&] {
-    ScopedEnv off("AQL_EXEC_UNCHECKED", "0");
+    ExecScope scope(nullptr, Unchecked(false));
     return program->Run();
   }();
   ASSERT_TRUE(fast.ok());
@@ -359,7 +346,7 @@ TEST(UncheckedAdmissionTest, AffineProofAdmitsCancellationGather) {
   const exec::ExecStats& stats = exec::GlobalExecStats();
   uint64_t before = stats.unchecked_kernels.load();
   Result<Value> fast = [&] {
-    ScopedEnv on("AQL_EXEC_UNCHECKED", "1");
+    ExecScope scope(nullptr, Unchecked(true));
     return sys.EvalCoreCompiled(*compiled);
   }();
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();

@@ -7,7 +7,6 @@
 // explicit Cancel() from another thread interrupts a running evaluation.
 
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <thread>
 
@@ -37,6 +36,14 @@ ExprPtr HugeTab() {
 // materialized before the sum starts.
 ExprPtr HugeSum() {
   return Expr::Sum("x", Expr::Var("x"), Expr::Gen(Expr::NatConst(400000000)));
+}
+
+// The process defaults with four exec threads, so the big tabulations
+// below take the chunked parallel path.
+ExecOptions FourThreads() {
+  ExecOptions o = DefaultExecOptions();
+  o.threads = 4;
+  return o;
 }
 
 // Runs `fn` under a token armed with `timeout`, expecting a prompt
@@ -112,10 +119,10 @@ TEST(CancelTest, ExplicitCancelFromAnotherThread) {
 
 TEST(CancelTest, DeadlineInterruptsParallelTabulation) {
   // A tabulation big enough to take the chunked parallel path (well above
-  // AQL_EXEC_PAR_THRESHOLD) but small enough to allocate: the per-chunk
+  // the parallel threshold) but small enough to allocate: the per-chunk
   // interrupt polls inside the worker loops must observe the deadline and
   // fail the whole tabulation promptly.
-  ::setenv("AQL_EXEC_THREADS", "4", 1);
+  ExecScope scope(nullptr, FourThreads());
   ExprPtr tab = Expr::Tab(
       {"i", "j"},
       Expr::Sum("x", Expr::Var("x"),
@@ -124,11 +131,9 @@ TEST(CancelTest, DeadlineInterruptsParallelTabulation) {
   auto program = exec::Compile(tab, nullptr);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   ExpectDeadline([&] { return program.value().Run(); }, milliseconds(50));
-  ::unsetenv("AQL_EXEC_THREADS");
 }
 
 TEST(CancelTest, ExplicitCancelStopsParallelTabulation) {
-  ::setenv("AQL_EXEC_THREADS", "4", 1);
   ExprPtr tab = Expr::Tab(
       {"i", "j"},
       Expr::Sum("x", Expr::Var("x"),
@@ -142,11 +147,10 @@ TEST(CancelTest, ExplicitCancelStopsParallelTabulation) {
     token.Cancel();
   });
   Result<Value> r = [&]() -> Result<Value> {
-    ExecScope scope(&token);
+    ExecScope scope(&token, FourThreads());
     return program.value().Run();
   }();
   canceller.join();
-  ::unsetenv("AQL_EXEC_THREADS");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << r.status().ToString();
 }

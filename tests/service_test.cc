@@ -322,15 +322,16 @@ TEST(ServiceTest, StatsReportExportsPerMutexContentionCounters) {
 
 TEST(ServiceTest, StatsReportMirrorsExecParallelCounters) {
   // Force the chunked path even for a modest tabulation, run it through
-  // the service, and check the exec-layer counters surface in :stats.
-  ::setenv("AQL_EXEC_THREADS", "4", 1);
-  ::setenv("AQL_EXEC_PAR_THRESHOLD", "16", 1);
+  // the service (workers inherit the submitting thread's options), and
+  // check the exec-layer counters surface in :stats.
+  ExecOptions parallel = DefaultExecOptions();
+  parallel.threads = 4;
+  parallel.par_threshold = 16;
+  ExecScope scope(nullptr, parallel);
   System sys;
   QueryService svc(&sys, {.num_workers = 2});
   ASSERT_TRUE(svc.Execute("[[ i*i | \\i < 4096 ]]").ok());
   std::string report = svc.StatsReport();
-  ::unsetenv("AQL_EXEC_THREADS");
-  ::unsetenv("AQL_EXEC_PAR_THRESHOLD");
 
   // Counters are process-wide and monotone; after a forced-parallel query
   // every mirror must be nonzero (i.e. not rendered as "... 0").
@@ -346,6 +347,26 @@ TEST(ServiceTest, StatsReportMirrorsExecParallelCounters) {
   EXPECT_GT(counter_value("exec.par.tasks"), 0u);
   EXPECT_GT(counter_value("exec.par.chunks"), 0u);
   EXPECT_GT(counter_value("exec.unboxed.arrays"), 0u);
+}
+
+TEST(ServiceTest, QueriesRunUnderTheSubmittingThreadsExecOptions) {
+  // The worker must apply the submitter's options, not the process
+  // defaults: an element cap below the tab's 64 elements fails it. Both
+  // caches are off so every Execute compiles and runs afresh.
+  System sys;
+  QueryService svc(&sys, {.num_workers = 2});
+  const std::string query = "[[ i * i | \\i < 64 ]]";
+  QueryOptions fresh;
+  fresh.use_plan_cache = false;
+  fresh.use_result_cache = false;
+  ASSERT_TRUE(svc.Execute(query, fresh).ok());
+
+  ExecOptions capped = DefaultExecOptions();
+  capped.max_elems = 10;
+  ExecScope scope(nullptr, capped);
+  Result<Value> r = svc.Execute(query, fresh);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kEvalError) << r.status().ToString();
 }
 
 // ---- building blocks ----

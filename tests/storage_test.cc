@@ -15,6 +15,7 @@
 #include <cmath>
 #include <limits>
 
+#include "base/cancel.h"
 #include "core/expr.h"
 #include "env/system.h"
 #include "exec/compiled.h"
@@ -50,6 +51,13 @@ class ScopedEnv {
   const char* name_;
   std::optional<std::string> saved_;
 };
+
+// The process defaults with subslab/aggregate pushdown switched on or off.
+ExecOptions Pushdown(bool on) {
+  ExecOptions o = DefaultExecOptions();
+  o.pushdown = on;
+  return o;
+}
 
 // Writes an R x C double variable `v` where element (i,j) = i * 1000 + j.
 void WriteGrid(const std::string& path, uint64_t rows, uint64_t cols) {
@@ -313,7 +321,8 @@ TEST(OutOfCore, TabSumBitIdenticalToRamPathUnderTinyBudget) {
     EXPECT_GT(s.misses, 0u);
   }
   {
-    ScopedEnv off("AQL_TILED_READ", "0");
+    // A threshold above the 64 KiB slab keeps the read eager.
+    ScopedEnv thr("AQL_TILED_READ_THRESHOLD", "1048576");
     System sys;
     auto rd = sys.Run(read_stmt);
     ASSERT_TRUE(rd.ok()) << rd.status().ToString();
@@ -351,7 +360,7 @@ TEST(OutOfCore, SubslabPushdownSkipsUntouchedTiles) {
     ASSERT_TRUE(sys.Run(read_stmt).ok());
     auto compiled = sys.Compile(window);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ScopedEnv pd("AQL_EXEC_PUSHDOWN", "1");
+    ExecScope pd(nullptr, Pushdown(true));
     auto v = sys.EvalCoreCompiled(*compiled);
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     with_pd = *v;
@@ -367,7 +376,7 @@ TEST(OutOfCore, SubslabPushdownSkipsUntouchedTiles) {
     ASSERT_TRUE(sys.Run(read_stmt).ok());
     auto compiled = sys.Compile(window);
     ASSERT_TRUE(compiled.ok());
-    ScopedEnv pd("AQL_EXEC_PUSHDOWN", "0");
+    ExecScope pd(nullptr, Pushdown(false));
     auto v = sys.EvalCoreCompiled(*compiled);
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     without_pd = *v;
@@ -388,6 +397,36 @@ TEST(OutOfCore, SubslabPushdownSkipsUntouchedTiles) {
       EXPECT_EQ(arr.At(i * 8 + j), Value::Real(double((i + 8) * 1000 + j + 4)));
     }
   }
+  std::remove(path.c_str());
+}
+
+// ---- static plan facts over tiled data ----
+
+TEST(OutOfCore, PlanFactsOverTiledWindowReadNoTiles) {
+  // The bounds summary names the array of each subscript. Over a tiled
+  // literal it must print the shape, not render (and so read) every tile.
+  std::string path = TempPath("aql_storage_facts.nc");
+  WriteGrid(path, 64, 16);
+  ScopedEnv thr("AQL_TILED_READ_THRESHOLD", "1");
+  ScopedEnv tb("AQL_TILE_BYTES", "512");  // 4 rows per tile -> 16 tiles
+  TileStore::Global().Clear();
+  System sys;
+  auto rd = sys.Run("readval \\S using NETCDF2 at (\"" + path +
+                    "\", \"v\", (0, 0), (63, 15));");
+  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+  ASSERT_EQ(rd->back().value.array().payload, ArrayRep::Payload::kTiled);
+
+  const std::string window = "[[ S[i + 8, j + 4] | \\i < 4, \\j < 4 ]]";
+  const TileStoreStats before = TileStore::Global().stats();
+  auto lint = sys.Lint(window);
+  auto verify = sys.VerifyReport(window);
+  const TileStoreStats after = TileStore::Global().stats();
+  ASSERT_TRUE(lint.ok()) << lint.status().ToString();
+  ASSERT_TRUE(verify.ok()) << verify.status().ToString();
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses)
+      << "plan facts must not read tiles";
+  EXPECT_NE(lint->find("<array 64 16>"), std::string::npos) << *lint;
+  EXPECT_NE(verify->find("<array 64 16>"), std::string::npos) << *verify;
   std::remove(path.c_str());
 }
 
@@ -546,7 +585,7 @@ TEST(OutOfCore, PushdownMatchesCommutedBareAndStridedIndices) {
       ASSERT_TRUE(sys.Run(read_stmt).ok());
       auto compiled = sys.Compile(c.window);
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      ScopedEnv pd("AQL_EXEC_PUSHDOWN", "1");
+      ExecScope pd(nullptr, Pushdown(true));
       auto v = sys.EvalCoreCompiled(*compiled);
       ASSERT_TRUE(v.ok()) << v.status().ToString();
       with_pd = *v;
@@ -561,7 +600,7 @@ TEST(OutOfCore, PushdownMatchesCommutedBareAndStridedIndices) {
       ASSERT_TRUE(sys.Run(read_stmt).ok());
       auto compiled = sys.Compile(c.window);
       ASSERT_TRUE(compiled.ok());
-      ScopedEnv pd("AQL_EXEC_PUSHDOWN", "0");
+      ExecScope pd(nullptr, Pushdown(false));
       auto v = sys.EvalCoreCompiled(*compiled);
       ASSERT_TRUE(v.ok()) << v.status().ToString();
       without_pd = *v;
@@ -628,7 +667,7 @@ TEST(OutOfCore, PrunedAggregateSkipsConstantTiles) {
   // First run: zones are cold, the fold reads every row (and warms them).
   Value first, second, generic;
   {
-    ScopedEnv pd("AQL_EXEC_PUSHDOWN", "1");
+    ExecScope pd(nullptr, Pushdown(true));
     auto v1 = program->Run();
     ASSERT_TRUE(v1.ok()) << v1.status().ToString();
     first = *v1;
@@ -641,7 +680,7 @@ TEST(OutOfCore, PrunedAggregateSkipsConstantTiles) {
         << "constant tiles must be answered from zone maps";
   }
   {
-    ScopedEnv pd("AQL_EXEC_PUSHDOWN", "0");
+    ExecScope pd(nullptr, Pushdown(false));
     auto v = program->Run();
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     generic = *v;
