@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs a bench binary with google-benchmark's JSON reporter and distills
 # the result to a compact {name, real_time_ns, items_per_second} list for
-# EXPERIMENTS.md bookkeeping and before/after diffing.
+# EXPERIMENTS.md bookkeeping and before/after diffing. Times are converted
+# to nanoseconds from each series' own time_unit (a benchmark registered
+# with ->Unit(benchmark::kMillisecond) reports in ms).
 #
 # Usage: scripts/bench_to_json.sh [bench_target] [out_json] [build_dir]
 #   defaults:      bench_exec       BENCH_exec.json   build
@@ -31,7 +33,9 @@ jq '{
             num_cpus: .context.num_cpus, build: .context.library_build_type},
   benchmarks: [.benchmarks[]
     | select(.run_type == "iteration")
-    | {name, real_time_ns: .real_time, cpu_time_ns: .cpu_time}
+    | ({ns: 1, us: 1e3, ms: 1e6, s: 1e9}[.time_unit // "ns"]
+       // error("unknown time_unit \(.time_unit) in \(.name)")) as $ns
+    | {name, real_time_ns: (.real_time * $ns), cpu_time_ns: (.cpu_time * $ns)}
       + (if .items_per_second then {items_per_second} else {} end)]
 }' "${RAW}" >"${OUT}"
 

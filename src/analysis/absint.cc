@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/strings.h"
+#include "core/expr_ops.h"
 
 namespace aql {
 namespace analysis {
@@ -301,13 +302,7 @@ bool DivisorNonzero(const ExprPtr& e) {
   return false;
 }
 
-bool DivisorConstZero(const ExprPtr& e) {
-  if (e->is(ExprKind::kNatConst)) return e->nat_const() == 0;
-  if (e->is(ExprKind::kLiteral)) {
-    return e->literal().kind() == ValueKind::kNat && e->literal().nat_value() == 0;
-  }
-  return false;
-}
+bool DivisorConstZero(const ExprPtr& e) { return NatConstOf(e) == uint64_t{0}; }
 
 // Scans a literal array for per-point ⊥ holes (bounded; boxed payloads
 // beyond the cap conservatively count as holed). Unboxed payloads —
@@ -630,15 +625,7 @@ AbsVal CoreDomains::Transfer(const ExprPtr& e, const std::vector<Val>& kids,
         k = 1;
       }
       if (k == 0) k = 1;
-      const ExprPtr& ie = e->child(1);
-      std::vector<ExprPtr> parts(k);
-      if (k == 1) {
-        parts[0] = ie;
-      } else if (ie->is(ExprKind::kTuple) && ie->children().size() == k) {
-        for (size_t j = 0; j < k; ++j) parts[j] = ie->child(j);
-      } else {
-        for (size_t j = 0; j < k; ++j) parts[j] = Expr::Proj(j + 1, k, ie);
-      }
+      std::vector<ExprPtr> parts = IndexParts(e->child(1), k, /*project=*/true);
       bool all_proven = true;
       bool any_const_oob = false;
       for (size_t j = 0; j < k; ++j) {

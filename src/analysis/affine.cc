@@ -154,14 +154,6 @@ AffineVal AffineJoin(const AffineVal& a, const AffineVal& b) {
   return out;
 }
 
-std::optional<uint64_t> NatOf(const ExprPtr& e) {
-  if (e->is(ExprKind::kNatConst)) return e->nat_const();
-  if (e->is(ExprKind::kLiteral) && e->literal().kind() == ValueKind::kNat) {
-    return e->literal().nat_value();
-  }
-  return std::nullopt;
-}
-
 AffineVal VarForm(const std::string& name) {
   AffineVal v;
   v.affine = true;
@@ -391,14 +383,8 @@ std::optional<AffineVal> AffineMonus(const AffineVal& a, const AffineVal& b) {
 
 AffineVal AffineOf(const ExprPtr& e, const SymEnv& env, int depth) {
   if (depth > 16) return AffineVal::Top();
+  if (std::optional<uint64_t> n = NatConstOf(e)) return AffineVal::Const(*n);
   switch (e->kind()) {
-    case ExprKind::kNatConst:
-      return AffineVal::Const(e->nat_const());
-    case ExprKind::kLiteral:
-      if (e->literal().kind() == ValueKind::kNat) {
-        return AffineVal::Const(e->literal().nat_value());
-      }
-      return AffineVal::Top();
     case ExprKind::kVar:
       return BinderForm(e->var_name(), env);
     case ExprKind::kArith: {
@@ -444,14 +430,8 @@ AffineVal AffineDomain::BinderVal(const ExprPtr& parent, size_t child_index,
 
 AffineVal AffineDomain::Transfer(const ExprPtr& e, const std::vector<Val>& kids,
                                  const SymEnv& env) {
+  if (std::optional<uint64_t> n = NatConstOf(e)) return AffineVal::Const(*n);
   switch (e->kind()) {
-    case ExprKind::kNatConst:
-      return AffineVal::Const(e->nat_const());
-    case ExprKind::kLiteral:
-      if (e->literal().kind() == ValueKind::kNat) {
-        return AffineVal::Const(e->literal().nat_value());
-      }
-      return AffineVal::Top();
     case ExprKind::kArith:
       return ArithTransfer(e->arith_op(), kids[0], kids[1], env);
     case ExprKind::kIf: {
@@ -527,14 +507,8 @@ AffineAbsVal AffineCoreDomains::Transfer(const ExprPtr& e,
       kids[1].core.def.whole == Definedness::kDefined) {
     const std::vector<Extent>& extents = kids[0].core.shape.extents;
     size_t k = extents.size();
-    const ExprPtr& ie = e->child(1);
-    std::vector<ExprPtr> parts;
-    if (k == 1) {
-      parts.push_back(ie);
-    } else if (ie->is(ExprKind::kTuple) && ie->children().size() == k) {
-      parts = ie->children();
-    }
-    bool all_proven = !parts.empty() && parts.size() == k;
+    std::vector<ExprPtr> parts = IndexParts(e->child(1), k, /*project=*/false);
+    bool all_proven = !parts.empty();
     for (size_t j = 0; all_proven && j < k; ++j) {
       if (extents[j].kind != Extent::Kind::kConst) {
         all_proven = false;
@@ -584,72 +558,6 @@ bool AffineWidens(const AffineAbsVal& pre, const AffineAbsVal& post,
   return false;
 }
 
-// ---------- access summaries ----------
-
-std::optional<uint64_t> DimAccess::MaxIndex() const {
-  if (extent == 0) return std::nullopt;
-  uint64_t span, top;
-  if (!CheckedMul(stride, extent - 1, &span)) return std::nullopt;
-  if (!CheckedAdd(base, span, &top)) return std::nullopt;
-  return top;
-}
-
-std::string DimAccess::ToString() const {
-  if (binder.empty()) return std::to_string(base);
-  std::string s;
-  if (base != 0) s += std::to_string(base) + " + ";
-  if (stride != 1) s += std::to_string(stride) + "*";
-  s += binder + ", " + binder + " < " + std::to_string(extent);
-  if (align_modulus > 1) {
-    s += " (= " + std::to_string(align_residue) + " mod " +
-         std::to_string(align_modulus) + ")";
-  }
-  return s;
-}
-
-std::string AccessSummary::ToString() const {
-  std::string s = array + "[";
-  for (size_t j = 0; j < dims.size(); ++j) {
-    if (j != 0) s += "; ";
-    s += dims[j].ToString();
-  }
-  return s + "]";
-}
-
-std::optional<AccessSummary> SummarizeAccess(const ExprPtr& subscript,
-                                             const SymEnv& env) {
-  if (!subscript->is(ExprKind::kSubscript)) return std::nullopt;
-  const ExprPtr& ie = subscript->child(1);
-  std::vector<ExprPtr> parts;
-  if (ie->is(ExprKind::kTuple)) {
-    parts = ie->children();
-  } else {
-    parts.push_back(ie);
-  }
-  AccessSummary out;
-  out.array = RenderArrayExpr(subscript->child(0));
-  for (const ExprPtr& part : parts) {
-    AffineVal v = AffineOf(part, env);
-    DimAccess d;
-    if (v.IsConst()) {
-      d.base = v.c0;
-    } else if (v.affine && v.terms.size() == 1) {
-      const ExprPtr* ub = env.Lookup(v.terms[0].var);
-      if (ub == nullptr || !(*ub)->is(ExprKind::kNatConst)) return std::nullopt;
-      d.base = v.c0;
-      d.stride = v.terms[0].coeff;
-      d.extent = (*ub)->nat_const();
-      d.binder = v.terms[0].var;
-      d.align_modulus = d.stride;
-      d.align_residue = d.stride > 0 ? d.base % d.stride : 0;
-    } else {
-      return std::nullopt;
-    }
-    out.dims.push_back(std::move(d));
-  }
-  return out;
-}
-
 // ---------- syntactic single-binder matcher ----------
 
 std::optional<Affine1D> MatchAffine1D(const ExprPtr& part) {
@@ -665,8 +573,8 @@ std::optional<Affine1D> MatchAffine1D(const ExprPtr& part) {
       const ExprPtr& b = x->child(1);
       std::optional<uint64_t> s;
       const Expr* v = nullptr;
-      if (a->is(ExprKind::kVar) && (s = NatOf(b))) v = a.get();
-      if (b->is(ExprKind::kVar) && (s = NatOf(a))) v = b.get();
+      if (a->is(ExprKind::kVar) && (s = NatConstOf(b))) v = a.get();
+      if (b->is(ExprKind::kVar) && (s = NatConstOf(a))) v = b.get();
       if (v != nullptr && *s >= 1) {
         out->binder = v->var_name();
         out->stride = *s;
@@ -681,11 +589,11 @@ std::optional<Affine1D> MatchAffine1D(const ExprPtr& part) {
     const ExprPtr& a = part->child(0);
     const ExprPtr& b = part->child(1);
     std::optional<uint64_t> c;
-    if ((c = NatOf(b)) && scaled_var(a, &out)) {
+    if ((c = NatConstOf(b)) && scaled_var(a, &out)) {
       out.offset = *c;
       return out;
     }
-    if ((c = NatOf(a)) && scaled_var(b, &out)) {
+    if ((c = NatConstOf(a)) && scaled_var(b, &out)) {
       out.offset = *c;
       return out;
     }
@@ -693,19 +601,51 @@ std::optional<Affine1D> MatchAffine1D(const ExprPtr& part) {
   return std::nullopt;
 }
 
-// ---------- shard locality ----------
+// ---------- the rectangular access matcher ----------
 
-std::optional<uint64_t> ShardLocal(const AccessSummary& summary,
-                                   const PartitionSpec& spec) {
-  if (spec.shard_count == 0 || spec.rows_per_shard == 0) return std::nullopt;
-  if (summary.dims.empty()) return std::nullopt;
-  const DimAccess& lead = summary.dims[0];
-  std::optional<uint64_t> hi = lead.MaxIndex();
-  if (!hi) return std::nullopt;
-  uint64_t first = lead.base / spec.rows_per_shard;
-  uint64_t last = *hi / spec.rows_per_shard;
-  if (first != last || first >= spec.shard_count) return std::nullopt;
-  return first;
+bool RectAccess::UnitStride() const {
+  return std::all_of(stride.begin(), stride.end(), [](uint64_t s) { return s == 1; });
+}
+
+bool RectAccess::Fits(const std::vector<uint64_t>& extent,
+                      const std::vector<uint64_t>& dims) const {
+  if (extent.size() != lower.size() || dims.size() != lower.size()) return false;
+  for (size_t j = 0; j < lower.size(); ++j) {
+    // One past the last touched coordinate, lower + stride·(extent − 1) + 1;
+    // just the origin for a zero-trip dimension.
+    uint64_t end = lower[j];
+    if (extent[j] > 0) {
+      uint64_t span;
+      if (!CheckedMul(stride[j], extent[j] - 1, &span) ||
+          !CheckedAdd(end, span, &end) || !CheckedAdd(end, 1, &end)) {
+        return false;
+      }
+    }
+    if (end > dims[j]) return false;
+  }
+  return true;
+}
+
+std::optional<RectAccess> MatchRectAccess(const ExprPtr& subscript,
+                                          const std::vector<std::string>& binders) {
+  if (!subscript->is(ExprKind::kSubscript)) return std::nullopt;
+  const size_t k = binders.size();
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      if (binders[i] == binders[j]) return std::nullopt;  // shadowing: ambiguous
+    }
+  }
+  std::vector<ExprPtr> parts = IndexParts(subscript->child(1), k, /*project=*/false);
+  if (parts.empty()) return std::nullopt;
+  RectAccess out;
+  out.base = subscript->child(0);
+  for (size_t j = 0; j < k; ++j) {
+    std::optional<Affine1D> m = MatchAffine1D(parts[j]);
+    if (!m || m->binder != binders[j]) return std::nullopt;
+    out.lower.push_back(m->offset);
+    out.stride.push_back(m->stride);
+  }
+  return out;
 }
 
 // ---------- proof certificates ----------

@@ -9,17 +9,16 @@
 // ConstUpperBound / ProveLt provers in absint.h consume). The relational
 // representation proves what interval folding alone cannot — cancellation
 // (`i*2 - i` is exactly `i`), exact division (`(i*4)/2` is `2·i`), and
-// stride/alignment facts (`2·i + 1` is odd) — which feed four consumers:
+// stride/alignment facts (`2·i + 1` is odd) — which feed three consumers:
 //
-//   1. exec/compiled.cc — the subslab pushdown matcher generalizes from
-//      literal `i+lo` to any affine single-binder index (strides,
-//      commuted offsets, bare binders) and emits strided bulk reads;
+//   1. exec/compiled.cc — subslab pushdown takes any affine single-binder
+//      index (strides, commuted offsets, bare binders) through
+//      MatchRectAccess and emits strided bulk reads;
 //   2. the aggregate-pruning pass (SumNode) — zone-map facts skip tile
-//      reads when the affine access range proves coverage;
+//      reads when the unit-stride access range fits (the same matcher,
+//      which also serves result-cache subsumption);
 //   3. exec/kernel.cc — affine in-bounds proofs admit UNCHECKED kernels
-//      the const-only interval path has to reject;
-//   4. ShardLocal — proves a subscript touches one partition of a
-//      leading-dimension split (the ROADMAP sharding item's blocker).
+//      the const-only interval path has to reject.
 //
 // Every optimization justified by an affine fact records a proof
 // certificate (analysis::Proof) naming the facts, surfaced via REPL
@@ -171,53 +170,19 @@ AffineAbsVal AnalyzeAffineAbs(const ExprPtr& e);
 bool AffineWidens(const AffineAbsVal& pre, const AffineAbsVal& post,
                   std::string* why);
 
-// ---------- access summaries ----------
-
-// Per-dimension access pattern of a subscript under loop binders: the
-// index is `base + stride·binder` with `binder` sweeping [0, extent), and
-// the touched coordinates are ≡ align_residue (mod align_modulus).
-// A constant index has stride 0, extent 1, empty binder.
-struct DimAccess {
-  uint64_t base = 0;
-  uint64_t stride = 0;
-  uint64_t extent = 1;
-  uint64_t align_modulus = 0;  // 0 = exact (constant index)
-  uint64_t align_residue = 0;
-  std::string binder;
-
-  // Highest coordinate touched: base + stride*(extent-1); nullopt on
-  // overflow or a zero-trip binder.
-  std::optional<uint64_t> MaxIndex() const;
-
-  std::string ToString() const;  // "8 + 2*i, i < 4 (≡ 0 mod 2)"
-};
-
-// Whole-subscript summary: one DimAccess per array dimension.
-struct AccessSummary {
-  std::string array;  // rendering of the subscripted array expression
-  std::vector<DimAccess> dims;
-
-  std::string ToString() const;
-};
-
-// Summarizes the subscript access of a tabulation body `[[ S[e1, ..., ek]
-// | i1 < b1, ... ]]` (or any binder environment `env` carrying the loop
-// bounds): each part must be single-binder affine with a constant-bounded
-// binder or a constant. nullopt when any part is relationally opaque.
-std::optional<AccessSummary> SummarizeAccess(const ExprPtr& subscript,
-                                             const SymEnv& env);
+// ---------- rendering ----------
 
 // Compact rendering of an array operand for summaries and proof sites:
 // a variable prints as its name, a literal as "<array d1 d2 ...>" (never
 // its elements), anything else as a truncated term rendering.
 std::string RenderArrayExpr(const ExprPtr& arr);
 
-// ---------- syntactic single-binder matcher (pushdown fast path) ----------
+// ---------- syntactic single-binder matcher ----------
 
-// The shape the subslab pushdown compiles: offset + stride·binder, in any
-// commutation (`i`, `i+c`, `c+i`, `s*i`, `i*s`, and the `add(mul)` forms).
-// Purely syntactic — no SymEnv needed — so exec/compiled.cc can run it on
-// plans whose bounds are not constant.
+// One index part of the rectangular access below: offset + stride·binder,
+// in any commutation (`i`, `i+c`, `c+i`, `s*i`, `i*s`, and the `add(mul)`
+// forms). Purely syntactic — no SymEnv needed — so it runs on plans whose
+// bounds are not constant.
 struct Affine1D {
   std::string binder;
   uint64_t offset = 0;
@@ -226,22 +191,38 @@ struct Affine1D {
 
 std::optional<Affine1D> MatchAffine1D(const ExprPtr& part);
 
-// ---------- shard locality ----------
+// ---------- the rectangular access matcher ----------
 
-// A leading-dimension range split: shard s owns rows
-// [s*rows_per_shard, (s+1)*rows_per_shard), s < shard_count.
-struct PartitionSpec {
-  uint64_t shard_count = 1;
-  uint64_t rows_per_shard = 0;
+// The access shape of the paper's beta_p rule and §5's subscript-range
+// constraints: `base[p1, ..., pk]` under loop binders b1..bk, where part j
+// is `lower_j + stride_j·b_j` (any MatchAffine1D commutation) in binder j
+// alone. The one matcher behind tab pushdown (any stride), the pruned sum
+// fold and result-cache subsumption (unit stride only).
+struct RectAccess {
+  ExprPtr base;                  // the subscripted array expression
+  std::vector<uint64_t> lower;   // per-dimension origin
+  std::vector<uint64_t> stride;  // per-dimension step (>= 1)
+
+  bool UnitStride() const;
+
+  // True when, in every dimension j, the touched coordinates
+  // lower_j + stride_j·t for t < extent[j] lie inside [0, dims[j]),
+  // computed without overflow; ranks must agree. A zero-trip dimension
+  // touches nothing but still needs lower_j <= dims[j] (SliceArray's
+  // convention for an empty range).
+  bool Fits(const std::vector<uint64_t>& extent,
+            const std::vector<uint64_t>& dims) const;
 };
 
-// Proves the summary's leading-dimension access stays inside ONE
-// partition of `spec` and names it. nullopt when the access can straddle
-// a boundary (or the spec is degenerate). Consumed by nothing yet — this
-// is the static fact the ROADMAP's scatter–gather item needs to route a
-// subplan to a single shard without a broadcast.
-std::optional<uint64_t> ShardLocal(const AccessSummary& summary,
-                                   const PartitionSpec& spec);
+// Matches `subscript` against `binders` (outermost first). nullopt unless
+// it is a subscript whose index splits into one syntactic part per binder
+// (IndexParts without projections), the binder names are distinct (a
+// repeated name shadows, so "part j uses binder j" would be ambiguous),
+// and part j is affine in binders[j] (a transposed access fails). The
+// base is not inspected: callers add their own requirement (a tiled
+// literal, a binder-free term).
+std::optional<RectAccess> MatchRectAccess(const ExprPtr& subscript,
+                                          const std::vector<std::string>& binders);
 
 // ---------- proof certificates ----------
 

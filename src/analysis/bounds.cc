@@ -73,14 +73,7 @@ class BoundsDomain {
     else k = 1;
     if (k == 0) k = 1;
 
-    std::vector<ExprPtr> parts(k);
-    if (k == 1) {
-      parts[0] = idx;
-    } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-      for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-    } else {
-      for (size_t j = 0; j < k; ++j) parts[j] = Expr::Proj(j + 1, k, idx);
-    }
+    std::vector<ExprPtr> parts = IndexParts(idx, k, /*project=*/true);
 
     ++out_->subscripts;
     size_t proven_dims = 0;

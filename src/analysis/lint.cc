@@ -28,24 +28,11 @@ bool IsPathPrefix(const std::vector<size_t>& a, const std::vector<size_t>& b) {
 // Constant index components of a subscript, when every component is a
 // constant; empty otherwise.
 std::vector<uint64_t> ConstIndexParts(const ExprPtr& idx, size_t k) {
-  std::vector<ExprPtr> parts;
-  if (k == 1) {
-    parts.push_back(idx);
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (const ExprPtr& c : idx->children()) parts.push_back(c);
-  } else {
-    return {};
-  }
   std::vector<uint64_t> out;
-  for (const ExprPtr& p : parts) {
-    if (p->is(ExprKind::kNatConst)) {
-      out.push_back(p->nat_const());
-    } else if (p->is(ExprKind::kLiteral) &&
-               p->literal().kind() == ValueKind::kNat) {
-      out.push_back(p->literal().nat_value());
-    } else {
-      return {};
-    }
+  for (const ExprPtr& p : IndexParts(idx, k, /*project=*/false)) {
+    std::optional<uint64_t> n = NatConstOf(p);
+    if (!n) return {};
+    out.push_back(*n);
   }
   return out;
 }

@@ -336,4 +336,24 @@ uint64_t ApproxExprBytes(const ExprPtr& e) {
   return b;
 }
 
+std::vector<ExprPtr> IndexParts(const ExprPtr& idx, size_t k, bool project) {
+  if (k == 1) return {idx};
+  if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
+    return idx->children();
+  }
+  std::vector<ExprPtr> parts;
+  if (project) {
+    for (size_t j = 0; j < k; ++j) parts.push_back(Expr::Proj(j + 1, k, idx));
+  }
+  return parts;
+}
+
+std::optional<uint64_t> NatConstOf(const ExprPtr& e) {
+  if (e->is(ExprKind::kNatConst)) return e->nat_const();
+  if (e->is(ExprKind::kLiteral) && e->literal().kind() == ValueKind::kNat) {
+    return e->literal().nat_value();
+  }
+  return std::nullopt;
+}
+
 }  // namespace aql

@@ -8,9 +8,12 @@
 #ifndef AQL_CORE_EXPR_OPS_H_
 #define AQL_CORE_EXPR_OPS_H_
 
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/expr.h"
 
@@ -53,6 +56,16 @@ uint64_t HashExpr(const ExprPtr& e);
 // deliberate, since cache eviction wants the cost of keeping the tree
 // reachable, not its minimal DAG size. Used by the byte-bounded caches.
 uint64_t ApproxExprBytes(const ExprPtr& e);
+
+// The per-dimension parts of a rank-k subscript index, as beta_p splits
+// them: the index itself when k == 1, the fields of a syntactic k-tuple,
+// and otherwise the projections pi_j(idx) when `project` is set, or no
+// parts at all (empty) when it is not.
+std::vector<ExprPtr> IndexParts(const ExprPtr& idx, size_t k, bool project);
+
+// The value of a NatConst or of a nat literal (how a resolved nat val
+// appears in a term); nullopt for anything else.
+std::optional<uint64_t> NatConstOf(const ExprPtr& e);
 
 }  // namespace aql
 

@@ -367,7 +367,8 @@ Result<Value> Evaluator::EvalIndex(const Expr& e, const Environment& env) const 
   // Fill the holes with {} and group duplicate keys into sets (§2: the
   // result type is [[{t}]]_k precisely to absorb holes and collisions).
   std::vector<std::vector<Value>> buckets(total);
-  ArrayRep shape{dims, {}};
+  ArrayRep shape;
+  shape.dims = dims;
   for (auto& [idx, value] : entries) {
     buckets[shape.Flatten(idx)].push_back(*value);
   }

@@ -413,72 +413,38 @@ struct SumPushdown {
 };
 
 // Matches the whole nest rooted at `e`: each level must be a sum over
-// `gen(const)`, binders must be distinct, and the innermost body must be a
-// subscript of a tiled literal whose index parts are unit-stride affine in
-// the nest binders (offset + binder). The compile-time fits check makes
-// every iteration provably in range, so the body is total and the pruned
-// fold needs no per-point ⊥ handling. Records an aggregate-prune proof
+// `gen(const)`, and the innermost body must be a subscript of a tiled
+// literal that MatchRectAccess accepts under the nest binders with unit
+// stride (offset + binder). The compile-time Fits check makes every
+// iteration provably in range, so the body is total and the pruned fold
+// needs no per-point ⊥ handling. Records an aggregate-prune proof
 // certificate naming the per-dimension range facts.
 std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
                                                        analysis::Proof* proof) {
-  auto nat_of = [](const ExprPtr& x, uint64_t* out) {
-    if (x->is(ExprKind::kNatConst)) {
-      *out = x->nat_const();
-      return true;
-    }
-    if (x->is(ExprKind::kLiteral) && x->literal().kind() == ValueKind::kNat) {
-      *out = x->literal().nat_value();
-      return true;
-    }
-    return false;
-  };
   std::vector<std::string> binders;
   std::vector<uint64_t> extents;
   ExprPtr cur = e;
   while (cur->is(ExprKind::kSum)) {
     const ExprPtr& src = cur->child(1);
-    uint64_t n = 0;
-    if (!src->is(ExprKind::kGen) || !nat_of(src->child(0), &n)) return nullptr;
+    std::optional<uint64_t> n;
+    if (!src->is(ExprKind::kGen) || !(n = NatConstOf(src->child(0)))) return nullptr;
     binders.push_back(cur->binder());
-    extents.push_back(n);
+    extents.push_back(*n);
     cur = cur->child(0);
   }
   const size_t k = binders.size();
-  if (k == 0 || !cur->is(ExprKind::kSubscript)) return nullptr;
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i + 1; j < k; ++j) {
-      if (binders[i] == binders[j]) return nullptr;  // shadowing: ambiguous
-    }
-  }
-  const ExprPtr& base = cur->child(0);
-  if (!base->is(ExprKind::kLiteral)) return nullptr;
-  const Value& v = base->literal();
+  std::optional<analysis::RectAccess> m = analysis::MatchRectAccess(cur, binders);
+  if (!m || !m->UnitStride() || !m->base->is(ExprKind::kLiteral)) return nullptr;
+  const Value& v = m->base->literal();
   if (v.kind() != ValueKind::kArray ||
-      v.array().payload != ArrayRep::Payload::kTiled) {
-    return nullptr;
-  }
-  if (v.array().dims.size() != k) return nullptr;
-  const ExprPtr& idx = cur->child(1);
-  std::vector<ExprPtr> parts(k);
-  if (k == 1) {
-    parts[0] = idx;
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-  } else {
+      v.array().payload != ArrayRep::Payload::kTiled ||
+      !m->Fits(extents, v.array().dims)) {
     return nullptr;
   }
   auto pd = std::make_unique<SumPushdown>();
   pd->base = v;
-  pd->lower.resize(k);
+  pd->lower = std::move(m->lower);
   pd->extent = extents;
-  for (size_t j = 0; j < k; ++j) {
-    std::optional<analysis::Affine1D> m = analysis::MatchAffine1D(parts[j]);
-    if (!m || m->binder != binders[j] || m->stride != 1) return nullptr;
-    pd->lower[j] = m->offset;
-    // Every touched coordinate must be in range: lo + (e-1) < dim.
-    const uint64_t dim = v.array().dims[j];
-    if (extents[j] > dim || pd->lower[j] > dim - extents[j]) return nullptr;
-  }
   for (size_t j = 1; j < k; ++j) {
     if (extents[j] != 0 && pd->row_volume > kUnboxedAllocLimit / extents[j]) {
       return nullptr;  // a single row would blow the buffer budget
@@ -494,7 +460,7 @@ std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
                              "] inside extent ", v.array().dims[j]));
     }
     proof->Add("aggregate-prune",
-               StrCat("sum over ", analysis::RenderArrayExpr(base)),
+               StrCat("sum over ", analysis::RenderArrayExpr(m->base)),
                std::move(facts));
   }
   return pd;
@@ -634,94 +600,45 @@ class SumNode : public Node {
 };
 
 // Compile-time subslab pushdown: a tabulation of the shape
-//   [[ S[i1+lo1, ..., ik+lok] | i1 < e1, ..., ik < ek ]]
+//   [[ S[lo1 + s1·i1, ..., lok + sk·ik] | i1 < e1, ..., ik < ek ]]
 // where S is a tiled-array literal (a resolved out-of-core readval) turns
-// into ONE bulk range read against the tile store — the optimizer's
-// subscript-range constraints pushed down into TileStore instead of
-// materializing the whole variable and gathering point-wise.
-struct TabPushdown {
-  Value base;                    // the tiled-array literal (keeps the slab alive)
-  std::vector<uint64_t> lower;   // per-dimension constant offsets
-  std::vector<uint64_t> stride;  // per-dimension strides (>= 1)
-};
-
-// Matches `part` as offset + stride·binder in any commutation (the binder
-// alone, binder+c, c+binder, s*binder, and the add-of-mul forms), via the
-// affine single-binder matcher (analysis/affine.h). A different binder — a
-// transposed access — fails. The unit-stride subset mirrors the result
-// cache's subslab matcher (service/result_cache.cc).
-bool MatchPushdownIndexPart(const ExprPtr& part, const std::string& binder,
-                            uint64_t* offset, uint64_t* stride) {
-  std::optional<analysis::Affine1D> m = analysis::MatchAffine1D(part);
-  if (!m || m->binder != binder || m->stride == 0) return false;
-  *offset = m->offset;
-  *stride = m->stride;
-  return true;
-}
-
-// Detects the pushdown-eligible tabulation shape at compile time. The base
-// must be a LITERAL tiled array (how a resolved out-of-core readval
-// appears in a plan) so the region is known to come straight from storage;
-// binder names must be distinct so "part j uses binder j" is unambiguous.
-std::unique_ptr<const TabPushdown> TryMatchPushdown(const ExprPtr& e,
-                                                    analysis::Proof* proof) {
-  const ExprPtr& body = e->tab_body();
-  if (!body->is(ExprKind::kSubscript)) return nullptr;
-  const ExprPtr& base = body->child(0);
-  if (!base->is(ExprKind::kLiteral)) return nullptr;
-  const Value& v = base->literal();
-  if (v.kind() != ValueKind::kArray ||
-      v.array().payload != ArrayRep::Payload::kTiled) {
-    return nullptr;
-  }
-  const size_t k = e->tab_rank();
-  if (v.array().dims.size() != k) return nullptr;
+// into ONE bulk range read against the tile store (strided reads when
+// some sj > 1) — the optimizer's subscript-range constraints pushed down
+// into TileStore instead of materializing the whole variable and
+// gathering point-wise. The access is MatchRectAccess's; the base must be
+// a LITERAL tiled array of rank k so the region is known to come straight
+// from storage.
+std::unique_ptr<const analysis::RectAccess> TryMatchPushdown(const ExprPtr& e,
+                                                             analysis::Proof* proof) {
   const std::vector<std::string>& binders = e->binders();
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i + 1; j < k; ++j) {
-      if (binders[i] == binders[j]) return nullptr;  // shadowing: ambiguous
-    }
-  }
-  const ExprPtr& idx = body->child(1);
-  std::vector<ExprPtr> parts(k);
-  if (k == 1) {
-    parts[0] = idx;
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-  } else {
+  std::optional<analysis::RectAccess> m =
+      analysis::MatchRectAccess(e->tab_body(), binders);
+  if (!m || !m->base->is(ExprKind::kLiteral)) return nullptr;
+  const Value& v = m->base->literal();
+  if (v.kind() != ValueKind::kArray ||
+      v.array().payload != ArrayRep::Payload::kTiled ||
+      v.array().dims.size() != binders.size()) {
     return nullptr;
-  }
-  auto pd = std::make_unique<TabPushdown>();
-  pd->base = v;
-  pd->lower.resize(k);
-  pd->stride.resize(k);
-  for (size_t j = 0; j < k; ++j) {
-    if (!MatchPushdownIndexPart(parts[j], binders[j], &pd->lower[j],
-                                &pd->stride[j])) {
-      return nullptr;
-    }
   }
   if (proof != nullptr) {
-    bool unit = true;
     std::vector<std::string> facts;
-    for (size_t j = 0; j < k; ++j) {
-      if (pd->stride[j] != 1) unit = false;
-      facts.push_back(StrCat("dim ", j, ": index = ", pd->lower[j], " + ",
-                             pd->stride[j], "*", binders[j], " (affine in ",
+    for (size_t j = 0; j < binders.size(); ++j) {
+      facts.push_back(StrCat("dim ", j, ": index = ", m->lower[j], " + ",
+                             m->stride[j], "*", binders[j], " (affine in ",
                              binders[j], ")"));
     }
-    proof->Add(unit ? "subslab-pushdown" : "strided-pushdown",
-               StrCat("tab over ", analysis::RenderArrayExpr(base)),
+    proof->Add(m->UnitStride() ? "subslab-pushdown" : "strided-pushdown",
+               StrCat("tab over ", analysis::RenderArrayExpr(m->base)),
                std::move(facts));
   }
-  return pd;
+  return std::make_unique<const analysis::RectAccess>(std::move(*m));
 }
 
 class TabNode : public Node {
  public:
   TabNode(std::vector<size_t> binder_slots, NodePtr body, std::vector<NodePtr> bounds,
           std::unique_ptr<const KernelSpec> kernel_spec,
-          std::unique_ptr<const TabPushdown> pushdown)
+          std::unique_ptr<const analysis::RectAccess> pushdown)
       : binder_slots_(std::move(binder_slots)),
         body_(std::move(body)),
         bounds_(std::move(bounds)),
@@ -753,22 +670,9 @@ class TabNode : public Node {
     // elements are decoded by the very same tile reads either way).
     if (pushdown_ != nullptr && total <= kUnboxedAllocLimit &&
         CurrentExecOptions().pushdown) {
-      const ArrayRep& base = pushdown_->base.array();
-      bool fits = base.dims.size() == k;
-      bool unit = true;
-      for (size_t j = 0; fits && j < k; ++j) {
-        // Every touched coordinate lower+stride*(dims[j]-1) must be in
-        // range (dims[j] >= 1 here: total > 0), without overflowing.
-        const uint64_t s = pushdown_->stride[j];
-        if (s != 1) unit = false;
-        fits = s >= 1 && dims[j] - 1 <= UINT64_MAX / s;
-        if (fits) {
-          const uint64_t span = s * (dims[j] - 1);
-          fits = span <= base.dims[j] - 1 &&
-                 pushdown_->lower[j] <= base.dims[j] - 1 - span;
-        }
-      }
-      if (fits && unit) {
+      const ArrayRep& base = pushdown_->base->literal().array();
+      const bool fits = pushdown_->Fits(dims, base.dims);
+      if (fits && pushdown_->UnitStride()) {
         std::vector<double> buf(total);
         // An I/O failure here is the query's error: the generic path would
         // hit the same failing read element-wise.
@@ -854,8 +758,7 @@ class TabNode : public Node {
   // validated by the caller's fits check.
   Result<Value> RunStridedPushdown(const std::vector<uint64_t>& dims,
                                    uint64_t total) const {
-    const ArrayRep& base = pushdown_->base.array();
-    const LazyRealSlab& slab = *base.tiled;
+    const LazyRealSlab& slab = *pushdown_->base->literal().array().tiled;
     const size_t k = dims.size();
     std::vector<double> buf(total);
     const uint64_t lastn = dims[k - 1];
@@ -1023,7 +926,7 @@ class TabNode : public Node {
   NodePtr body_;
   std::vector<NodePtr> bounds_;
   std::unique_ptr<const KernelSpec> kernel_spec_;
-  std::unique_ptr<const TabPushdown> pushdown_;
+  std::unique_ptr<const analysis::RectAccess> pushdown_;
 };
 
 bool ExtractIndexValue(const Value& v, std::vector<uint64_t>* out) {
@@ -1114,7 +1017,8 @@ class IndexNode : public Node {
     uint64_t total = 1;
     for (uint64_t d : dims) total *= d;
     std::vector<std::vector<Value>> buckets(total);
-    ArrayRep shape{dims, {}};
+    ArrayRep shape;
+    shape.dims = dims;
     for (auto& [idx, value] : entries) buckets[shape.Flatten(idx)].push_back(*value);
     std::vector<Value> elems;
     elems.reserve(total);
@@ -1234,15 +1138,9 @@ class Compiler {
   static NodePtr TryFoldDense(const ExprPtr& e) {
     std::vector<uint64_t> dims(e->dense_rank());
     for (size_t j = 0; j < e->dense_rank(); ++j) {
-      const ExprPtr& d = e->dense_dim(j);
-      if (d->is(ExprKind::kNatConst)) {
-        dims[j] = d->nat_const();
-      } else if (d->is(ExprKind::kLiteral) &&
-                 d->literal().kind() == ValueKind::kNat) {
-        dims[j] = d->literal().nat_value();
-      } else {
-        return nullptr;
-      }
+      std::optional<uint64_t> d = NatConstOf(e->dense_dim(j));
+      if (!d) return nullptr;
+      dims[j] = *d;
     }
     std::vector<Value> elems;
     elems.reserve(e->dense_value_count());

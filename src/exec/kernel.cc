@@ -7,6 +7,7 @@
 #include "analysis/absint.h"
 #include "analysis/affine.h"
 #include "base/strings.h"
+#include "core/expr_ops.h"
 
 namespace aql {
 namespace exec {
@@ -187,10 +188,7 @@ namespace {
 // control path that established `0 < d`. (A real divisor never needs this
 // — IEEE division is total.)
 bool DivisorProvenNonzero(const ExprPtr& d, const analysis::SymEnv& env) {
-  if (d->is(ExprKind::kNatConst)) return d->nat_const() != 0;
-  if (d->is(ExprKind::kLiteral) && d->literal().kind() == ValueKind::kNat) {
-    return d->literal().nat_value() != 0;
-  }
+  if (std::optional<uint64_t> n = NatConstOf(d)) return *n != 0;
   if (d->is(ExprKind::kRealConst)) return true;
   if (d->is(ExprKind::kLiteral) && d->literal().kind() == ValueKind::kReal) {
     return true;
@@ -231,15 +229,8 @@ void AnnotateNode(const ExprPtr& e, const analysis::SymEnv& env, KernelSpec* spe
     case KernelSpec::Op::kSubscript: {
       if (!e->is(ExprKind::kSubscript) || spec->kids.size() < 2) return;
       size_t k = spec->kids.size() - 1;
-      const ExprPtr& idx = e->child(1);
-      std::vector<ExprPtr> parts;
-      if (k == 1 && !idx->is(ExprKind::kTuple)) {
-        parts.push_back(idx);
-      } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-        for (const ExprPtr& c : idx->children()) parts.push_back(c);
-      } else {
-        return;  // shape mismatch; leave unproven
-      }
+      std::vector<ExprPtr> parts = IndexParts(e->child(1), k, /*project=*/false);
+      if (parts.empty()) return;  // shape mismatch; leave unproven
       spec->idx_proven.assign(k, 0);
       spec->idx_ub.assign(k, 0);
       std::vector<std::string> affine_facts;

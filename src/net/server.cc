@@ -278,16 +278,6 @@ bool HttpServer::HandleQuery(const HttpRequest& request, Socket* socket) {
     options.use_plan_cache = false;
     options.use_result_cache = false;  // both layers: force a real run
   }
-  std::string_view backend = param("backend");
-  if (backend == "eval") {
-    options.use_compiled_backend = false;
-  } else if (!backend.empty() && backend != "compiled") {
-    CountResponse(400);
-    (void)WriteSimpleResponse(socket, 400, "text/plain",
-                              StrCat("unknown backend: \"", backend,
-                                     "\" (use eval or compiled)\n"));
-    return true;
-  }
   ValueFormat format = ValueFormat::kText;
   std::string_view format_str = param("format");
   if (!format_str.empty()) {

@@ -5,7 +5,7 @@
 // Endpoints:
 //   POST /query    body = AQL expression text. Options via query params
 //                  (or X-AQL-* headers): deadline_ms, format=text|json,
-//                  trace=1, no_cache=1, backend=eval|compiled. Results
+//                  trace=1, no_cache=1. Results
 //                  stream with chunked transfer encoding through
 //                  object/value_write.h — a large array is delivered in
 //                  bounded fragments, never materialized as one string.

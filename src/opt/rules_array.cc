@@ -34,14 +34,7 @@ ExprPtr RuleBetaP(const ExprPtr& e, const CostGate& gate) {
 
   // Per-dimension index expressions: the tuple components when the index
   // is a syntactic tuple, projections of the index otherwise.
-  std::vector<ExprPtr> parts(k);
-  if (k == 1) {
-    parts[0] = idx;
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-  } else {
-    for (size_t j = 0; j < k; ++j) parts[j] = Expr::Proj(j + 1, k, idx);
-  }
+  std::vector<ExprPtr> parts = IndexParts(idx, k, /*project=*/true);
 
   std::unordered_map<std::string, ExprPtr> subst;
   for (size_t j = 0; j < k; ++j) subst[tab->binders()[j]] = parts[j];
@@ -268,7 +261,8 @@ ExprPtr RuleSubscriptConst(const ExprPtr& e) {
       product *= dims.back();
     }
     if (product != arr->dense_value_count()) return nullptr;  // denotes bottom
-    ArrayRep shape{dims, {}};
+    ArrayRep shape;
+    shape.dims = std::move(dims);
     if (!shape.InBounds(index)) return Expr::Bottom();
     // The selected element replaces the subscript only if the dropped
     // elements cannot carry host-level effects — always true here.

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "analysis/absint.h"
+#include "analysis/affine.h"
 #include "core/expr_ops.h"
 
 namespace aql {
@@ -14,77 +15,31 @@ namespace {
 // A lookup key matching the subslab shape:
 //   [[ base[i1+lower1, ..., ik+lowerk] | i1 < e1, ..., ik < ek ]]
 // with `base` binder-free and every extent proven constant by the shape
-// domain. The syntactic part (offsets, base) is cheap; the semantic part
-// (extents) rides the abstract interpreter so bounds need not be literal
-// NatConsts — anything the shape/cardinality domains can pin down works.
+// domain. The syntactic part (offsets, base) is analysis::MatchRectAccess
+// restricted to unit stride — SliceArray copies contiguous runs; the
+// semantic part (extents) rides the abstract interpreter so bounds need
+// not be literal NatConsts — anything the shape/cardinality domains can
+// pin down works.
 struct SubslabPattern {
-  ExprPtr base;
-  std::vector<uint64_t> lower;    // per-dimension slice origin
+  analysis::RectAccess access;
   std::vector<uint64_t> extents;  // per-dimension slice size (filled by
                                   // ProveExtents, only once a base entry
                                   // is actually found)
 };
 
-// Matches `part` as the j-th binder plus a constant offset: the binder
-// itself (offset 0), binder + c, or c + binder. Anything else — including
-// a different binder, so transposed slices never match — fails.
-bool MatchIndexPart(const ExprPtr& part, const std::string& binder,
-                    uint64_t* offset) {
-  if (part->is(ExprKind::kVar) && part->var_name() == binder) {
-    *offset = 0;
-    return true;
-  }
-  if (!part->is(ExprKind::kArith) || part->arith_op() != ArithOp::kAdd) {
-    return false;
-  }
-  const ExprPtr& a = part->child(0);
-  const ExprPtr& b = part->child(1);
-  if (a->is(ExprKind::kVar) && a->var_name() == binder &&
-      b->is(ExprKind::kNatConst)) {
-    *offset = b->nat_const();
-    return true;
-  }
-  if (b->is(ExprKind::kVar) && b->var_name() == binder &&
-      a->is(ExprKind::kNatConst)) {
-    *offset = a->nat_const();
-    return true;
-  }
-  return false;
-}
-
 std::optional<SubslabPattern> MatchSubslab(const ExprPtr& resolved) {
   if (!resolved->is(ExprKind::kTab)) return std::nullopt;
-  size_t k = resolved->tab_rank();
-  const ExprPtr& body = resolved->tab_body();
-  if (!body->is(ExprKind::kSubscript)) return std::nullopt;
-  const ExprPtr& base = body->child(0);
-  const ExprPtr& idx = body->child(1);
-
-  // Per-dimension index parts, as beta_p decomposes them — but only the
-  // syntactic forms (single index or literal tuple); a projected index
-  // can permute dimensions, which a rectangular slice cannot express.
-  std::vector<ExprPtr> parts(k);
-  if (k == 1) {
-    parts[0] = idx;
-  } else if (idx->is(ExprKind::kTuple) && idx->children().size() == k) {
-    for (size_t j = 0; j < k; ++j) parts[j] = idx->child(j);
-  } else {
-    return std::nullopt;
-  }
-
-  SubslabPattern pat;
-  pat.base = base;
-  pat.lower.resize(k);
-  for (size_t j = 0; j < k; ++j) {
-    if (!MatchIndexPart(parts[j], resolved->binders()[j], &pat.lower[j])) {
-      return std::nullopt;
-    }
-  }
+  // Distinct binders, one syntactic index part per dimension (a projected
+  // index can permute dimensions, which a rectangular slice cannot
+  // express), part j = binder j + offset: transposed slices never match.
+  std::optional<analysis::RectAccess> m =
+      analysis::MatchRectAccess(resolved->tab_body(), resolved->binders());
+  if (!m || !m->UnitStride()) return std::nullopt;
   // The base must not depend on the loop — it has to BE the cached slab.
   for (const std::string& b : resolved->binders()) {
-    if (OccursFree(base, b)) return std::nullopt;
+    if (OccursFree(m->base, b)) return std::nullopt;
   }
-  return pat;
+  return SubslabPattern{std::move(*m), {}};
 }
 
 // Extents: the shape domain's verdict on the whole tabulation. This is
@@ -92,7 +47,7 @@ std::optional<SubslabPattern> MatchSubslab(const ExprPtr& resolved) {
 // every extent to a constant. Deferred until a base entry is found so the
 // exact-hit and plain-miss paths never pay for an abstract interpretation.
 bool ProveExtents(const ExprPtr& resolved, SubslabPattern* pat) {
-  size_t k = pat->lower.size();
+  size_t k = pat->access.lower.size();
   analysis::AbsVal abs = analysis::AnalyzeAbs(resolved);
   if (abs.shape.kind != analysis::ShapeVal::Kind::kArray ||
       abs.shape.extents.size() != k) {
@@ -133,7 +88,7 @@ std::optional<Value> ResultCache::Lookup(const ExprPtr& resolved, uint64_t epoch
   uint64_t hash = hash_(resolved);
   // Syntactic pattern match outside the lock; pure over the immutable term.
   std::optional<SubslabPattern> pat = MatchSubslab(resolved);
-  uint64_t base_hash = pat ? hash_(pat->base) : 0;
+  uint64_t base_hash = pat ? hash_(pat->access.base) : 0;
 
   MutexLock lock(&mu_);
   FlushIfStaleLocked(epoch);
@@ -146,20 +101,14 @@ std::optional<Value> ResultCache::Lookup(const ExprPtr& resolved, uint64_t epoch
   }
 
   if (pat) {
-    auto base_it = FindLocked(pat->base, base_hash);
+    auto base_it = FindLocked(pat->access.base, base_hash);
     if (base_it != lru_.end() && base_it->value.kind() == ValueKind::kArray &&
         ProveExtents(resolved, &*pat)) {
       const ArrayRep& arr = base_it->value.array();
-      size_t k = pat->extents.size();
-      bool fits = arr.dims.size() == k;
-      for (size_t j = 0; fits && j < k; ++j) {
-        // Double-check the analysis against the concrete dims: the slice
-        // must lie fully inside the cached slab.
-        fits = pat->extents[j] <= arr.dims[j] &&
-               pat->lower[j] <= arr.dims[j] - pat->extents[j];
-      }
-      if (fits) {
-        Result<Value> slice = SliceArray(arr, pat->lower, pat->extents);
+      // Double-check the analysis against the concrete dims: the slice
+      // must lie fully inside the cached slab.
+      if (pat->access.Fits(pat->extents, arr.dims)) {
+        Result<Value> slice = SliceArray(arr, pat->access.lower, pat->extents);
         if (slice.ok()) {
           lru_.splice(lru_.begin(), lru_, base_it);  // the slab stays hot
           ++stats_.subsumptions;

@@ -18,6 +18,7 @@
 //
 //  2. Subslab subsumption. A query of the form
 //         [[ BASE[i1+o1, ..., ik+ok] | i1 < n1, ..., ik < nk ]]
+//     (analysis::MatchRectAccess with unit stride: distinct binders)
 //     where BASE is alpha-equal to a cached key, the offsets oj are
 //     constants, and the extents nj are PROVEN constant by the shape/
 //     cardinality abstract domains (analysis/absint.h), is answered by

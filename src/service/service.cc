@@ -178,9 +178,7 @@ Result<Value> QueryService::RunQuery(const std::string& expression,
     }
 
     auto execute_start = std::chrono::steady_clock::now();
-    Result<Value> result = options.use_compiled_backend
-                               ? plan->program->Run()
-                               : system_->EvalCore(plan->optimized);
+    Result<Value> result = plan->program->Run();
     execute_us_->Record(ElapsedUs(execute_start));
     if (use_results && result.ok()) {
       result_cache_.Insert(resolved, *result, epoch);

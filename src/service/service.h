@@ -96,9 +96,6 @@ struct QueryOptions {
   // no insert) — the HTTP front end's no_cache=1 sets both this and
   // use_plan_cache false.
   bool use_result_cache = true;
-  // false routes execution through the tree-walking evaluator instead of
-  // the compiled backend (still plan-cached at the optimized-term level).
-  bool use_compiled_backend = true;
   // When set, the worker runs the query under an obs::TraceCapture and
   // stores the rendered per-stage profile (obs::Profile) here — the HTTP
   // front end's ?trace=1 option. Costs the same as the slow-query log's

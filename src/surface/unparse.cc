@@ -62,7 +62,7 @@ class Unparser {
     if (it != renamed_.end()) return it->second;
     std::string fresh;
     do {
-      fresh = "v" + std::to_string(counter_++);
+      fresh = StrCat("v", counter_++);
     } while (used_.count(fresh));
     used_.insert(fresh);
     renamed_[name] = fresh;
@@ -77,7 +77,7 @@ class Unparser {
   std::string Fresh() {
     std::string fresh;
     do {
-      fresh = "v" + std::to_string(counter_++);
+      fresh = StrCat("v", counter_++);
     } while (used_.count(fresh));
     used_.insert(fresh);
     return fresh;

@@ -1,5 +1,5 @@
 // Relational affine-domain tests (src/analysis/affine.h): directed checks
-// of the affine forms, the access summaries, ShardLocal, the widening
+// of the affine forms, the rectangular access matcher, the widening
 // relation and proof certificates, plus fuzz properties against the real
 // evaluator:
 //
@@ -229,69 +229,77 @@ TEST(MatchAffine1DTest, RejectsNonAffineAndTwoBinder) {
   EXPECT_FALSE(MatchAffine1D(Div(I(), Nat(2))).has_value());
 }
 
-// ---- directed: access summaries and shard locality ---------------------
+// ---- directed: the rectangular access matcher ---------------------------
 
-TEST(AccessSummaryTest, StridedWindow) {
-  // S[2*i + 8, j] under i < 4, j < 16.
-  SymEnv env;
-  env.facts.push_back({"i", Nat(4)});
-  env.facts.push_back({"j", Nat(16)});
-  ExprPtr sub = Expr::Subscript(
-      Expr::Var("S"),
-      Expr::Tuple({Add(Mul(Nat(2), I()), Nat(8)), Expr::Var("j")}));
-  std::optional<AccessSummary> s = SummarizeAccess(sub, env);
-  ASSERT_TRUE(s.has_value());
-  ASSERT_EQ(s->dims.size(), 2u);
-  EXPECT_EQ(s->dims[0].base, 8u);
-  EXPECT_EQ(s->dims[0].stride, 2u);
-  EXPECT_EQ(s->dims[0].extent, 4u);
-  EXPECT_EQ(s->dims[0].binder, "i");
-  EXPECT_EQ(s->dims[0].align_modulus, 2u);
-  EXPECT_EQ(s->dims[0].align_residue, 0u);
-  ASSERT_TRUE(s->dims[0].MaxIndex().has_value());
-  EXPECT_EQ(*s->dims[0].MaxIndex(), 14u);
-  EXPECT_EQ(s->dims[1].stride, 1u);
-  EXPECT_EQ(s->dims[1].extent, 16u);
+TEST(MatchRectAccessTest, AcceptsAffinePartsAndRejectsTheRest) {
+  const ExprPtr j = Expr::Var("j");
+  const std::vector<std::string> ij = {"i", "j"};
+  struct Case {
+    const char* what;
+    ExprPtr index;                     // the index of S[index]
+    std::vector<std::string> binders;  // outermost first
+    bool accepted;
+    std::vector<uint64_t> lower, stride;
+  };
+  const Case cases[] = {
+      {"i", Expr::Tuple({I(), j}), ij, true, {0, 0}, {1, 1}},
+      {"i+c", Expr::Tuple({Add(I(), Nat(3)), j}), ij, true, {3, 0}, {1, 1}},
+      {"c+i", Expr::Tuple({Add(Nat(3), I()), j}), ij, true, {3, 0}, {1, 1}},
+      {"s*i", Expr::Tuple({Mul(Nat(2), I()), j}), ij, true, {0, 0}, {2, 1}},
+      {"i*s", Expr::Tuple({Mul(I(), Nat(2)), j}), ij, true, {0, 0}, {2, 1}},
+      {"s*i+c", Expr::Tuple({Add(Mul(Nat(2), I()), Nat(8)), j}), ij, true,
+       {8, 0}, {2, 1}},
+      {"nat-literal offset (a resolved nat val)",
+       Expr::Tuple({I(), Add(j, Expr::Literal(Value::Nat(5)))}), ij, true,
+       {0, 5}, {1, 1}},
+      {"rank 1", Add(I(), Nat(4)), {"i"}, true, {4}, {1}},
+      {"transposed", Expr::Tuple({j, I()}), ij, false, {}, {}},
+      {"repeated binder (the inner i shadows the outer)",
+       Expr::Tuple({I(), I()}), {"i", "i"}, false, {}, {}},
+      {"two-binder part", Expr::Tuple({Add(I(), j), j}), ij, false, {}, {}},
+      {"constant part", Expr::Tuple({Nat(7), j}), ij, false, {}, {}},
+      {"i*i", Expr::Tuple({Mul(I(), I()), j}), ij, false, {}, {}},
+      {"rank mismatch", I(), ij, false, {}, {}},
+  };
+  const ExprPtr s = Expr::Var("S");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::optional<RectAccess> m = MatchRectAccess(Expr::Subscript(s, c.index), c.binders);
+    ASSERT_EQ(m.has_value(), c.accepted);
+    if (!m) continue;
+    EXPECT_EQ(m->base, s);
+    EXPECT_EQ(m->lower, c.lower);
+    EXPECT_EQ(m->stride, c.stride);
+  }
+  EXPECT_FALSE(MatchRectAccess(Add(I(), Nat(1)), {"i"}).has_value()) << "not a subscript";
 }
 
-TEST(AccessSummaryTest, ConstantIndexAndOpaqueIndex) {
-  SymEnv env = EnvWith("i", 4);
-  std::optional<AccessSummary> c = SummarizeAccess(
-      Expr::Subscript(Expr::Var("S"), Expr::Tuple({Nat(7), I()})), env);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->dims[0].base, 7u);
-  EXPECT_EQ(c->dims[0].stride, 0u);
-  EXPECT_EQ(c->dims[0].extent, 1u);
-  // i*i is relationally opaque: no summary.
-  EXPECT_FALSE(
-      SummarizeAccess(Expr::Subscript(Expr::Var("S"), Mul(I(), I())), env)
-          .has_value());
-}
+TEST(MatchRectAccessTest, FitsChecksTheLastTouchedCoordinate) {
+  // Rows 8, 10, 12, 14 and columns 0..15.
+  RectAccess a;
+  a.lower = {8, 0};
+  a.stride = {2, 1};
+  EXPECT_TRUE(a.Fits({4, 16}, {15, 16}));   // row 14 is the last in range
+  EXPECT_FALSE(a.Fits({4, 16}, {14, 16}));  // row 14 is one past the end
+  EXPECT_FALSE(a.Fits({4, 17}, {15, 16}));  // column 16 is one past the end
+  EXPECT_FALSE(a.Fits({4}, {15}));          // rank mismatch
 
-TEST(ShardLocalTest, ProvesSingleShardAndRejectsStraddle) {
-  PartitionSpec spec;
-  spec.shard_count = 4;
-  spec.rows_per_shard = 64;
+  // stride·(extent − 1) overflows uint64; so does lower + stride·(extent − 1).
+  RectAccess wide;
+  wide.lower = {0};
+  wide.stride = {UINT64_MAX / 2};
+  EXPECT_TRUE(wide.Fits({1}, {1}));  // one trip touches only the origin
+  EXPECT_FALSE(wide.Fits({4}, {UINT64_MAX}));
+  wide.lower = {2};
+  EXPECT_FALSE(wide.Fits({3}, {UINT64_MAX}));
 
-  AccessSummary inside;
-  inside.array = "S";
-  inside.dims.push_back({/*base=*/130, /*stride=*/1, /*extent=*/10, 1, 0, "i"});
-  std::optional<uint64_t> shard = ShardLocal(inside, spec);
-  ASSERT_TRUE(shard.has_value());
-  EXPECT_EQ(*shard, 2u);  // rows 130..139 live in shard 2 = [128, 192)
-
-  AccessSummary straddle;
-  straddle.array = "S";
-  straddle.dims.push_back({60, 1, 10, 1, 0, "i"});  // rows 60..69 cross 64
-  EXPECT_FALSE(ShardLocal(straddle, spec).has_value());
-
-  AccessSummary beyond;
-  beyond.array = "S";
-  beyond.dims.push_back({256, 1, 4, 1, 0, "i"});  // past the last shard
-  EXPECT_FALSE(ShardLocal(beyond, spec).has_value());
-
-  PartitionSpec degenerate;  // rows_per_shard == 0
-  EXPECT_FALSE(ShardLocal(inside, degenerate).has_value());
+  // A zero-trip dimension touches nothing, but its origin must still lie
+  // inside [0, dim] (SliceArray's convention for an empty range).
+  RectAccess empty;
+  empty.lower = {16, 0};
+  empty.stride = {3, 1};
+  EXPECT_TRUE(empty.Fits({0, 4}, {16, 4}));
+  EXPECT_FALSE(empty.Fits({0, 4}, {15, 4}));
 }
 
 // ---- directed: proof certificates --------------------------------------

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "base/strings.h"
 #include "core/expr.h"
 
 namespace aql {
@@ -105,7 +106,7 @@ class ExprGen {
   }
 
   std::string Push() {
-    std::string v = "v" + std::to_string(next_var_++);
+    std::string v = StrCat("v", next_var_++);
     scope_.push_back(v);
     return v;
   }

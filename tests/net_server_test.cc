@@ -293,7 +293,6 @@ TEST_F(HttpServerTest, ErrorStatusMapping) {
   EXPECT_EQ(PostQuery("1 + true").status, 400) << "type error";
   EXPECT_EQ(PostQuery("").status, 400) << "empty body";
   EXPECT_EQ(PostQuery("1", "?deadline_ms=zap").status, 400) << "bad option";
-  EXPECT_EQ(PostQuery("1", "?backend=quantum").status, 400) << "bad backend";
   EXPECT_EQ(Get("/nowhere").status, 404);
   TestResponse response = Get("/query");
   EXPECT_EQ(response.status, 405) << "GET /query";

@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "base/strings.h"
 #include "gtest/gtest.h"
 #include "netcdf/reader.h"
 #include "netcdf/writer.h"
@@ -52,7 +53,7 @@ RandomFile MakeRandomFile(uint64_t seed) {
   }
   for (size_t i = 0; i < ndims; ++i) {
     uint64_t len = 1 + rng() % 4;
-    dim_ids.push_back(w.AddDim("d" + std::to_string(i), len));
+    dim_ids.push_back(w.AddDim(StrCat("d", i), len));
     dim_lens.push_back(len);
   }
   if (rng() % 2 == 0) {
@@ -80,7 +81,7 @@ RandomFile MakeRandomFile(uint64_t seed) {
     std::vector<double> data;
     data.reserve(total);
     for (uint64_t i = 0; i < total; ++i) data.push_back(RandomSmallValue(&rng));
-    std::string name = "v" + std::to_string(v);
+    std::string name = StrCat("v", v);
     NcType type = RandomNumericType(&rng);
     if (type == NcType::kByte) {
       for (double& d : data) d = double(int64_t(d) % 100);  // fits int8
@@ -180,7 +181,7 @@ std::vector<uint8_t> CraftHeader(int version, const std::vector<uint32_t>& dims,
   PutU32(&b, 0x0A);  // dim_list
   PutU32(&b, uint32_t(dims.size()));
   for (size_t i = 0; i < dims.size(); ++i) {
-    PutName(&b, "d" + std::to_string(i));
+    PutName(&b, StrCat("d", i));
     PutU32(&b, dims[i]);
   }
   PutU32(&b, 0);  // global attrs ABSENT

@@ -171,8 +171,14 @@ TEST(ResultCacheTest, SubsumptionRejectsUnsafeShapes) {
                     ")[a + 6, b] | \\a < 4, \\b < 5 ]]";
   EXPECT_FALSE(cache.Lookup(MustResolve(&sys, oob), 0).has_value());
 
+  // Repeated binder: the inner i shadows the outer one, so both index
+  // parts read the inner binder — a diagonal, not a rectangle.
+  std::string shadowed =
+      std::string("[[ (") + kSlab + ")[i, i] | \\i < 3, \\i < 4 ]]";
+  EXPECT_FALSE(cache.Lookup(MustResolve(&sys, shadowed), 0).has_value());
+
   EXPECT_EQ(cache.stats().subsumptions, 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 // ---- service integration ----
@@ -281,6 +287,25 @@ TEST(ResultCacheServiceTest, SubsumedSubslabThroughTheService) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, MustEval(&sys, sub));
   EXPECT_EQ(svc.result_cache().stats().subsumptions, 1u);
+}
+
+TEST(ResultCacheServiceTest, ShadowedBinderMatchesTheTreeWalker) {
+  System sys;
+  QueryService svc(&sys, {.num_workers = 2});
+  ASSERT_TRUE(svc.RunScript(std::string("val \\S = ") + kSlab + ";").ok());
+  ASSERT_TRUE(svc.Execute("S").ok());  // the slab is now a cached value
+  const std::string shadowed = "[[ S[i, i] | \\i < 3, \\i < 4 ]]";
+  auto r = svc.Execute(shadowed);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  // The oracle: the tree walker on the unoptimized term.
+  auto core = sys.CompileUnoptimized(shadowed);
+  ASSERT_TRUE(core.ok()) << core.status().ToString();
+  auto oracle = sys.EvalCore(*core);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(*r, *oracle);
+  EXPECT_EQ(r->array().At(1), Value::Nat(11));  // (0, 1) is S[1, 1]
+  EXPECT_EQ(svc.result_cache().stats().subsumptions, 0u);
 }
 
 // ---- the bit-identity fuzz ----

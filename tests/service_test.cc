@@ -1,7 +1,7 @@
 // Tests for the concurrent query service: plan cache behaviour (hits,
 // alpha-variant sharing, LRU eviction, invalidation-by-keying), bounded
 // admission (ResourceExhausted), deadlines and explicit cancellation
-// through both backends, concurrent correctness, metrics, and the
+// through the compiled backend, concurrent correctness, metrics, and the
 // building blocks (ThreadPool, MetricsRegistry, PlanCache).
 //
 // These tests carry the "tsan" ctest label; run them under
@@ -169,19 +169,18 @@ TEST(ServiceTest, ValRedefinitionChangesPlanKey) {
   EXPECT_GE(counters["statements.run"], 2u);
 }
 
-TEST(ServiceTest, DeadlineExceededFromBothBackends) {
+TEST(ServiceTest, DeadlineExceededFromCompiledBackend) {
+  // The service runs only the compiled backend; CancelTest's
+  // Evaluator*HitsDeadline and SystemEvalPathsHitDeadline cover the tree
+  // walker.
   System sys;
   QueryService svc(&sys, {.num_workers = 2});
-  for (bool compiled : {true, false}) {
-    QueryOptions opts;
-    opts.deadline = milliseconds(50);
-    opts.use_compiled_backend = compiled;
-    auto r = svc.Execute(kHugeQuery, opts);
-    ASSERT_FALSE(r.ok()) << "backend compiled=" << compiled;
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
-        << "backend compiled=" << compiled << ": " << r.status().ToString();
-  }
-  EXPECT_EQ(svc.metrics()->CounterValues()["queries.deadline_exceeded"], 2u);
+  QueryOptions opts;
+  opts.deadline = milliseconds(50);
+  auto r = svc.Execute(kHugeQuery, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << r.status().ToString();
+  EXPECT_EQ(svc.metrics()->CounterValues()["queries.deadline_exceeded"], 1u);
 }
 
 TEST(ServiceTest, DefaultDeadlineFromConfig) {

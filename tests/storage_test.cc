@@ -558,20 +558,34 @@ TEST(OutOfCore, PushdownMatchesCommutedBareAndStridedIndices) {
     const char* window;
     // expected element at output (i, j)
     uint64_t (*at)(uint64_t, uint64_t);
+    // expected proof certificate (what `:explain` prints)
+    const char* proof;
   };
   const Case cases[] = {
       // Commuted offset: lo + i instead of i + lo.
       {"[[ S[8 + i, j] | \\i < 4, \\j < 8 ]]",
-       [](uint64_t i, uint64_t j) { return (i + 8) * 1000 + j; }},
+       [](uint64_t i, uint64_t j) { return (i + 8) * 1000 + j; },
+       "subslab-pushdown @ tab over <array 64 16>\n"
+       "  - dim 0: index = 8 + 1*i (affine in i)\n"
+       "  - dim 1: index = 0 + 1*j (affine in j)\n"},
       // Bare binder: no offset at all.
       {"[[ S[i, j] | \\i < 4, \\j < 8 ]]",
-       [](uint64_t i, uint64_t j) { return i * 1000 + j; }},
+       [](uint64_t i, uint64_t j) { return i * 1000 + j; },
+       "subslab-pushdown @ tab over <array 64 16>\n"
+       "  - dim 0: index = 0 + 1*i (affine in i)\n"
+       "  - dim 1: index = 0 + 1*j (affine in j)\n"},
       // Strided: 2*i + 8 sweeps rows 8, 10, ..., 14.
       {"[[ S[2 * i + 8, j] | \\i < 4, \\j < 8 ]]",
-       [](uint64_t i, uint64_t j) { return (2 * i + 8) * 1000 + j; }},
+       [](uint64_t i, uint64_t j) { return (2 * i + 8) * 1000 + j; },
+       "strided-pushdown @ tab over <array 64 16>\n"
+       "  - dim 0: index = 8 + 2*i (affine in i)\n"
+       "  - dim 1: index = 0 + 1*j (affine in j)\n"},
       // Stride on the trailing axis too.
       {"[[ S[i + 8, 2 * j] | \\i < 4, \\j < 8 ]]",
-       [](uint64_t i, uint64_t j) { return (i + 8) * 1000 + 2 * j; }},
+       [](uint64_t i, uint64_t j) { return (i + 8) * 1000 + 2 * j; },
+       "strided-pushdown @ tab over <array 64 16>\n"
+       "  - dim 0: index = 8 + 1*i (affine in i)\n"
+       "  - dim 1: index = 0 + 2*j (affine in j)\n"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.window);
@@ -585,6 +599,9 @@ TEST(OutOfCore, PushdownMatchesCommutedBareAndStridedIndices) {
       ASSERT_TRUE(sys.Run(read_stmt).ok());
       auto compiled = sys.Compile(c.window);
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      auto program = exec::Compile(*compiled, sys.PrimitiveResolver());
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      EXPECT_EQ(program->proof().ToString(), c.proof);
       ExecScope pd(nullptr, Pushdown(true));
       auto v = sys.EvalCoreCompiled(*compiled);
       ASSERT_TRUE(v.ok()) << v.status().ToString();
@@ -658,11 +675,10 @@ TEST(OutOfCore, PrunedAggregateSkipsConstantTiles) {
       Expr::Gen(Expr::NatConst(64)));
   auto program = exec::Compile(nest, sys.PrimitiveResolver());
   ASSERT_TRUE(program.ok()) << program.status().ToString();
-  bool certified = false;
-  for (const auto& e : program->proof().entries) {
-    if (e.optimization == "aggregate-prune") certified = true;
-  }
-  EXPECT_TRUE(certified) << program->proof().ToString();
+  EXPECT_EQ(program->proof().ToString(),
+            "aggregate-prune @ sum over <array 64 16>\n"
+            "  - dim 0: k + 0 sweeps [0, 63] inside extent 64\n"
+            "  - dim 1: l + 0 sweeps [0, 15] inside extent 16\n");
 
   // First run: zones are cold, the fold reads every row (and warms them).
   Value first, second, generic;

@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "base/strings.h"
 #include "gtest/gtest.h"
 #include "types/type.h"
 #include "types/unify.h"
@@ -34,7 +35,7 @@ class TypeGen {
       case 5:
         return Type::Arrow(Next(depth - 1), Next(depth - 1));
       case 6:
-        return Type::Base("b" + std::to_string(rng_() % 3));
+        return Type::Base(StrCat("b", rng_() % 3));
       default:
         return Type::Set(Type::Set(Next(depth - 2 < 0 ? 0 : depth - 2)));
     }

@@ -5,6 +5,7 @@
 
 #include "surface/unparse.h"
 
+#include "base/strings.h"
 #include "env/system.h"
 #include "gtest/gtest.h"
 #include "opt/analysis.h"
@@ -152,7 +153,7 @@ class UnparseGen {
     return Expr::NatConst(rng_() % 10);
   }
   std::string Push() {
-    std::string v = "w" + std::to_string(next_++);
+    std::string v = StrCat("w", next_++);
     scope_.push_back(v);
     return v;
   }
