@@ -6,6 +6,9 @@
 //   BM_TabRealGather/{n}/{t}   — real kernel gathering from an unboxed val
 //   BM_TabBoxedGeneric/{n}/{t} — tuple body: generic boxed chunked path
 //   BM_ParallelSum/{n}/{t}     — Sum with parallel body evaluation
+//   BM_FoldMatmul/{n}/{t}      — matmul! of two n×n nat vals: a fold
+//                                kernel (`sum k < n`) per cell, split over
+//                                cells; items are multiply-adds (n^3)
 //
 // Thread counts are applied through the ExecOptions of an ExecScope
 // around each series; the benchmark binary itself stays single-threaded.
@@ -81,6 +84,18 @@ void BM_ParallelSum(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSum)
     ->ArgsProduct({{4096, 65536, 1048576}, {1, 2, 4, 8}});
+
+void BM_FoldMatmul(benchmark::State& state) {
+  const uint64_t n = uint64_t(state.range(0));
+  auto matrix = [n](uint64_t seed) {
+    return *Value::MakeNatArray({n, n}, RandomNats(size_t(n * n), 100, seed));
+  };
+  (void)SharedSystem()->DefineVal("FA", matrix(11));
+  (void)SharedSystem()->DefineVal("FB", matrix(13));
+  RunCompiledQuery(state, "matmul!(FA, FB)");
+  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n * n * n));
+}
+BENCHMARK(BM_FoldMatmul)->ArgsProduct({{32, 64, 128}, {1, 4}});
 
 }  // namespace
 }  // namespace bench

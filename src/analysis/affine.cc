@@ -260,17 +260,10 @@ AffineVal TopWithCub(const ExprPtr& e, const SymEnv& env) {
 }  // namespace
 
 std::string RenderArrayExpr(const ExprPtr& arr) {
-  if (arr->is(ExprKind::kVar)) return arr->var_name();
-  if (arr->is(ExprKind::kLiteral)) {
-    const Value& v = arr->literal();
-    if (v.kind() == ValueKind::kArray) {
-      std::string s = "<array";
-      for (uint64_t d : v.array().dims) s += " " + std::to_string(d);
-      return s + ">";
-    }
+  if (arr->is(ExprKind::kLiteral) && arr->literal().kind() != ValueKind::kArray) {
     return "<literal>";
   }
-  std::string s = arr->ToString();
+  std::string s = arr->ToPlanString();
   if (s.size() > 40) s = s.substr(0, 37) + "...";
   return s;
 }

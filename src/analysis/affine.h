@@ -173,8 +173,9 @@ bool AffineWidens(const AffineAbsVal& pre, const AffineAbsVal& post,
 // ---------- rendering ----------
 
 // Compact rendering of an array operand for summaries and proof sites:
-// a variable prints as its name, a literal as "<array d1 d2 ...>" (never
-// its elements), anything else as a truncated term rendering.
+// a variable prints as its name, an array literal as "<array d1 d2 ...>"
+// (never its elements, even inside a larger term: Expr::ToPlanString),
+// a scalar literal as "<literal>", the whole truncated to 40 characters.
 std::string RenderArrayExpr(const ExprPtr& arr);
 
 // ---------- syntactic single-binder matcher ----------

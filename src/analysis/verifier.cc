@@ -462,9 +462,19 @@ void Verifier::VerifyPhase(const std::string& phase, const std::vector<Rule>& ru
   if (options_.types) {
     TypePtr pre_type = TryType(pre);
     if (pre_type) {
+      // `term` may generalize but not specialize or change pre's type. The
+      // two are joined in `if true then term else pre` before typing: the
+      // checker defaults each unconstrained numeric variable to nat, which
+      // would misreport a generalized term — a real-typed subterm folded
+      // to ⊥ under a Sum types as [[nat]] on its own — as a change. The
+      // joined type must be pre's own type (the join only specializes).
+      auto admits_pre_type = [&](const ExprPtr& term) {
+        TypePtr joined = TryType(Expr::If(Expr::BoolConst(true), term, pre));
+        return joined != nullptr && TypeGeneralizes(joined, pre_type);
+      };
       TypeChecker checker(external_lookup_);
       Result<TypePtr> post_type = checker.Check(post);
-      bool bad = !post_type.ok() || !TypeGeneralizes(*post_type, pre_type);
+      bool bad = !post_type.ok() || !admits_pre_type(post);
       if (bad) {
         std::string message =
             post_type.ok()
@@ -476,10 +486,7 @@ void Verifier::VerifyPhase(const std::string& phase, const std::vector<Rule>& ru
         if (options_.pinpoint) {
           rule = PinpointByTrace(
               rules, rewrite_options, pre,
-              [this, &pre_type](const ExprPtr& mid) {
-                TypePtr t = TryType(mid);
-                return !t || !TypeGeneralizes(t, pre_type);
-              });
+              [&admits_pre_type](const ExprPtr& mid) { return !admits_pre_type(mid); });
         }
         AddViolation(report, VerifyPass::kTypePreservation, phase, std::move(rule),
                      "<root>", std::move(message));

@@ -297,9 +297,18 @@ std::vector<std::vector<std::string>> ChildBinders(const Expr& e) {
 
 namespace {
 
-void Append(const Expr& e, std::string* out);
+// One rendering's output: the text, and whether array literals print by
+// shape only.
+struct Sink {
+  std::string text;
+  bool elide_arrays = false;
+  void append(const std::string& s) { text.append(s); }
+  void push_back(char c) { text.push_back(c); }
+};
 
-void AppendChild(const Expr& e, std::string* out) {
+void Append(const Expr& e, Sink* out);
+
+void AppendChild(const Expr& e, Sink* out) {
   // Parenthesize anything that isn't clearly atomic.
   switch (e.kind()) {
     case ExprKind::kVar:
@@ -329,7 +338,7 @@ void AppendChild(const Expr& e, std::string* out) {
   }
 }
 
-void Append(const Expr& e, std::string* out) {
+void Append(const Expr& e, Sink* out) {
   switch (e.kind()) {
     case ExprKind::kVar:
       out->append(e.var_name());
@@ -485,6 +494,12 @@ void Append(const Expr& e, std::string* out) {
       out->append("bottom");
       return;
     case ExprKind::kLiteral:
+      if (out->elide_arrays && e.literal().kind() == ValueKind::kArray) {
+        out->append("<array");
+        for (uint64_t d : e.literal().array().dims) out->append(StrCat(" ", d));
+        out->push_back('>');
+        return;
+      }
       out->append(e.literal().ToString());
       return;
     case ExprKind::kExternal:
@@ -496,9 +511,16 @@ void Append(const Expr& e, std::string* out) {
 }  // namespace
 
 std::string Expr::ToString() const {
-  std::string out;
+  Sink out;
   Append(*this, &out);
-  return out;
+  return std::move(out.text);
+}
+
+std::string Expr::ToPlanString() const {
+  Sink out;
+  out.elide_arrays = true;
+  Append(*this, &out);
+  return std::move(out.text);
 }
 
 }  // namespace aql

@@ -169,6 +169,10 @@ class Expr : public std::enable_shared_from_this<Expr> {
   // Calculus-style rendering, e.g. "U{ {x} | x in gen(5) }",
   // "[[ A[i] | i < len(A) ]]".
   std::string ToString() const;
+  // The same, with every array literal rendered by shape as
+  // `<array d1 ... dk>`: O(term) text that reads no element, so a plan
+  // over an inlined val or a tiled readval prints without touching data.
+  std::string ToPlanString() const;
 
   // Rebuilds this node with new children (same kind/binders/payload).
   // Used by generic bottom-up rewriting.

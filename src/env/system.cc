@@ -247,7 +247,7 @@ Result<std::string> System::Explain(std::string_view expression) const {
       out += StrCat("  ", rule, ": ", count, "\n");
     }
   }
-  out += StrCat("plan            : ", optimized->ToString(), "\n");
+  out += StrCat("plan            : ", optimized->ToPlanString(), "\n");
   // Compile against the exec backend to collect the proof certificates
   // (pushdowns, pruned aggregates, unchecked kernels and the affine facts
   // that justified them). Compilation can fail where evaluation would too

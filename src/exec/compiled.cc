@@ -198,7 +198,8 @@ class UnionNode : public Node {
 // chunks over worker-private Frame copies. The fold over the parts stays
 // sequential in the caller, which is what keeps results bit-identical to
 // the single-threaded loop (left-to-right real addition, first ⊥/error
-// in index order).
+// in index order). `elem(i)` is the i-th source element: a set member,
+// or the nat i itself for a Sum counting over `gen(n)`.
 //
 // `terminal` is the lowest index whose body came out ⊥ or as an error;
 // parts at indices beyond it may be unset (chunks stop early), so callers
@@ -211,22 +212,23 @@ struct LoopParts {
   Status terminal_status;
 };
 
+template <typename ElemFn>
 Result<LoopParts> EvalBodyParallel(const Frame& f, size_t binder_slot, const Node* body,
-                                   const std::vector<Value>& xs) {
+                                   uint64_t n, const ElemFn& elem) {
   LoopParts lp;
-  lp.parts.assign(xs.size(), Value());
+  lp.parts.assign(n, Value());
   std::atomic<uint64_t> terminal{UINT64_MAX};
   Mutex mu("exec.par.terminal", lock_rank::kExecTerminal);
   bool terminal_bottom = false;
   Status terminal_status;
-  Status ps = ParallelFor(xs.size(), [&](uint64_t b, uint64_t e) -> Status {
+  Status ps = ParallelFor(n, [&](uint64_t b, uint64_t e) -> Status {
     Frame local = f;  // private register file per chunk
     for (uint64_t i = b; i < e; ++i) {
       if (((i - b) & 0x3FF) == 0) {
         AQL_RETURN_IF_ERROR(CheckInterrupt());
         if (terminal.load(std::memory_order_relaxed) < i) return Status::OK();
       }
-      local.slots[binder_slot] = xs[i];
+      local.slots[binder_slot] = elem(i);
       Result<Value> r = body->Run(&local);
       if (!r.ok() || r.value().is_bottom()) {
         MutexLock lock(&mu);
@@ -258,8 +260,10 @@ class BigUnionNode : public Node {
     const std::vector<Value>& xs = src.set().elems;
     std::vector<Value> acc;
     if (ShouldParallelize(xs.size())) {
-      AQL_ASSIGN_OR_RETURN(LoopParts lp,
-                           EvalBodyParallel(*f, binder_slot_, body_.get(), xs));
+      AQL_ASSIGN_OR_RETURN(
+          LoopParts lp,
+          EvalBodyParallel(*f, binder_slot_, body_.get(), xs.size(),
+                           [&xs](uint64_t i) -> const Value& { return xs[i]; }));
       for (uint64_t i = 0; i < xs.size(); ++i) {
         if (i == lp.terminal) {
           if (lp.terminal_is_bottom) return Value::Bottom();
@@ -466,13 +470,18 @@ std::unique_ptr<const SumPushdown> TryMatchSumPushdown(const ExprPtr& e,
   return pd;
 }
 
+// A sum over a set, or — when `counted` — over `gen(n)` without building
+// the set: `source` is then the node for n, and the binder takes the nats
+// 0..n-1 in the set's (ascending) order. Either way the fold runs left to
+// right from the nat identity, exactly as the tree walker adds.
 class SumNode : public Node {
  public:
-  SumNode(size_t binder_slot, NodePtr body, NodePtr source,
+  SumNode(size_t binder_slot, NodePtr body, NodePtr source, bool counted,
           std::unique_ptr<const SumPushdown> pushdown = nullptr)
       : binder_slot_(binder_slot),
         body_(std::move(body)),
         source_(std::move(source)),
+        counted_(counted),
         pushdown_(std::move(pushdown)) {}
   Result<Value> Run(Frame* f) const override {
     if (pushdown_ != nullptr && CurrentExecOptions().pushdown) {
@@ -480,16 +489,29 @@ class SumNode : public Node {
     }
     AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
     if (src.is_bottom()) return Value::Bottom();
+    if (counted_) {
+      if (src.kind() != ValueKind::kNat) return Status::EvalError("gen of non-nat");
+      return Fold(f, src.nat_value(), [](uint64_t i) { return Value::Nat(i); });
+    }
     const std::vector<Value>& xs = src.set().elems;
+    return Fold(f, xs.size(), [&xs](uint64_t i) -> const Value& { return xs[i]; });
+  }
+
+ private:
+  template <typename ElemFn>
+  Result<Value> Fold(Frame* f, uint64_t n, const ElemFn& elem) const {
     uint64_t nat_total = 0;
     double real_total = 0;
     bool is_real = false, first = true;
-    if (ShouldParallelize(xs.size())) {
+    // The parts buffer is one boxed Value per trip: a counted sum beyond
+    // the boxed limit folds sequentially (and stays cancellable) instead
+    // of allocating it up front.
+    if (ShouldParallelize(n) && n <= kBoxedAllocLimit) {
       // Bodies evaluate in parallel; the fold below runs left-to-right on
       // one thread so real addition rounds exactly as it does sequentially.
       AQL_ASSIGN_OR_RETURN(LoopParts lp,
-                           EvalBodyParallel(*f, binder_slot_, body_.get(), xs));
-      for (uint64_t i = 0; i < xs.size(); ++i) {
+                           EvalBodyParallel(*f, binder_slot_, body_.get(), n, elem));
+      for (uint64_t i = 0; i < n; ++i) {
         if (i == lp.terminal) {
           if (lp.terminal_is_bottom) return Value::Bottom();
           return lp.terminal_status;
@@ -497,21 +519,19 @@ class SumNode : public Node {
         AQL_RETURN_IF_ERROR(
             Accumulate(lp.parts[i], &nat_total, &real_total, &is_real, &first));
       }
-      if (first) return Value::Nat(0);
-      return is_real ? Value::Real(real_total) : Value::Nat(nat_total);
-    }
-    for (const Value& x : xs) {
-      AQL_RETURN_IF_ERROR(CheckInterrupt());
-      f->slots[binder_slot_] = x;
-      AQL_ASSIGN_OR_RETURN(Value part, body_->Run(f));
-      if (part.is_bottom()) return Value::Bottom();
-      AQL_RETURN_IF_ERROR(Accumulate(part, &nat_total, &real_total, &is_real, &first));
+    } else {
+      for (uint64_t i = 0; i < n; ++i) {
+        AQL_RETURN_IF_ERROR(CheckInterrupt());
+        f->slots[binder_slot_] = elem(i);
+        AQL_ASSIGN_OR_RETURN(Value part, body_->Run(f));
+        if (part.is_bottom()) return Value::Bottom();
+        AQL_RETURN_IF_ERROR(Accumulate(part, &nat_total, &real_total, &is_real, &first));
+      }
     }
     if (first) return Value::Nat(0);
     return is_real ? Value::Real(real_total) : Value::Nat(nat_total);
   }
 
- private:
   static Status Accumulate(const Value& part, uint64_t* nat_total, double* real_total,
                            bool* is_real, bool* first) {
     if (*first) {
@@ -596,6 +616,7 @@ class SumNode : public Node {
 
   size_t binder_slot_;
   NodePtr body_, source_;
+  bool counted_;
   std::unique_ptr<const SumPushdown> pushdown_;
 };
 
@@ -815,15 +836,25 @@ class TabNode : public Node {
     return std::move(arr).value();
   }
 
+  // Chunk `begin`'s multi-index, padded with the kernel's sum-binder
+  // scratch slots (Kernel::index_width).
+  static std::vector<uint64_t> KernelIndex(uint64_t begin,
+                                           const std::vector<uint64_t>& dims,
+                                           size_t width) {
+    std::vector<uint64_t> index = DecodeIndex(begin, dims);
+    if (index.size() < width) index.resize(width, 0);
+    return index;
+  }
+
   template <typename T, typename EvalFn>
   static Result<Value> KernelLoop(const std::vector<uint64_t>& dims, uint64_t total,
-                                  bool* bottom_seen, EvalFn&& eval,
+                                  size_t width, bool* bottom_seen, EvalFn&& eval,
                                   Result<Value> (*make)(std::vector<uint64_t>,
                                                         std::vector<T>)) {
     std::vector<T> buf(total);
     std::atomic<bool> bottom{false};
     Status ps = ParallelFor(total, [&](uint64_t begin, uint64_t end) -> Status {
-      std::vector<uint64_t> index = DecodeIndex(begin, dims);
+      std::vector<uint64_t> index = KernelIndex(begin, dims, width);
       for (uint64_t flat = begin; flat < end; ++flat) {
         if (((flat - begin) & 0xFFF) == 0) {
           AQL_RETURN_IF_ERROR(CheckInterrupt());
@@ -849,15 +880,17 @@ class TabNode : public Node {
 
   // The unchecked loop: evaluation is total, so there is no ⊥ flag to
   // poll and no per-cell branch on the eval result — just index decode,
-  // body, store. Interrupt polling stays (deadlines must still bite).
+  // body, store. Interrupt polling stays (deadlines must still bite); the
+  // final poll catches a sum that stopped early on an interrupt in the
+  // last cells of a chunk.
   template <typename T, typename EvalFn>
   static Result<Value> KernelLoopU(const std::vector<uint64_t>& dims, uint64_t total,
-                                   EvalFn&& eval,
+                                   size_t width, EvalFn&& eval,
                                    Result<Value> (*make)(std::vector<uint64_t>,
                                                          std::vector<T>)) {
     std::vector<T> buf(total);
     Status ps = ParallelFor(total, [&](uint64_t begin, uint64_t end) -> Status {
-      std::vector<uint64_t> index = DecodeIndex(begin, dims);
+      std::vector<uint64_t> index = KernelIndex(begin, dims, width);
       for (uint64_t flat = begin; flat < end; ++flat) {
         if (((flat - begin) & 0xFFF) == 0) AQL_RETURN_IF_ERROR(CheckInterrupt());
         buf[flat] = eval(index.data());
@@ -866,6 +899,7 @@ class TabNode : public Node {
       return Status::OK();
     });
     AQL_RETURN_IF_ERROR(ps);
+    AQL_RETURN_IF_ERROR(CheckInterrupt());
     auto arr = make(dims, std::move(buf));
     if (!arr.ok()) return Status::Internal(arr.status().message());
     return std::move(arr).value();
@@ -874,21 +908,22 @@ class TabNode : public Node {
   static Result<Value> RunKernelUnchecked(const Kernel& kernel,
                                           const std::vector<uint64_t>& dims,
                                           uint64_t total) {
+    const size_t width = kernel.index_width();
     switch (kernel.result_type()) {
       case Kernel::Type::kNat:
         return KernelLoopU<uint64_t>(
-            dims, total,
-            [&kernel](const uint64_t* idx) { return kernel.EvalNatUnchecked(idx); },
+            dims, total, width,
+            [&kernel](uint64_t* idx) { return kernel.EvalNatUnchecked(idx); },
             &Value::MakeNatArray);
       case Kernel::Type::kReal:
         return KernelLoopU<double>(
-            dims, total,
-            [&kernel](const uint64_t* idx) { return kernel.EvalRealUnchecked(idx); },
+            dims, total, width,
+            [&kernel](uint64_t* idx) { return kernel.EvalRealUnchecked(idx); },
             &Value::MakeRealArray);
       case Kernel::Type::kBool:
         return KernelLoopU<uint8_t>(
-            dims, total,
-            [&kernel](const uint64_t* idx) { return kernel.EvalBoolUnchecked(idx); },
+            dims, total, width,
+            [&kernel](uint64_t* idx) { return kernel.EvalBoolUnchecked(idx); },
             &Value::MakeBoolArray);
     }
     return Status::Internal("bad kernel result type");
@@ -896,27 +931,22 @@ class TabNode : public Node {
 
   static Result<Value> RunKernel(const Kernel& kernel, const std::vector<uint64_t>& dims,
                                  uint64_t total, bool* bottom_seen) {
+    const size_t width = kernel.index_width();
     switch (kernel.result_type()) {
       case Kernel::Type::kNat:
         return KernelLoop<uint64_t>(
-            dims, total, bottom_seen,
-            [&kernel](const uint64_t* idx, uint64_t* out) {
-              return kernel.EvalNat(idx, out);
-            },
+            dims, total, width, bottom_seen,
+            [&kernel](uint64_t* idx, uint64_t* out) { return kernel.EvalNat(idx, out); },
             &Value::MakeNatArray);
       case Kernel::Type::kReal:
         return KernelLoop<double>(
-            dims, total, bottom_seen,
-            [&kernel](const uint64_t* idx, double* out) {
-              return kernel.EvalReal(idx, out);
-            },
+            dims, total, width, bottom_seen,
+            [&kernel](uint64_t* idx, double* out) { return kernel.EvalReal(idx, out); },
             &Value::MakeRealArray);
       case Kernel::Type::kBool:
         return KernelLoop<uint8_t>(
-            dims, total, bottom_seen,
-            [&kernel](const uint64_t* idx, uint8_t* out) {
-              return kernel.EvalBool(idx, out);
-            },
+            dims, total, width, bottom_seen,
+            [&kernel](uint64_t* idx, uint8_t* out) { return kernel.EvalBool(idx, out); },
             &Value::MakeBoolArray);
     }
     return Status::Internal("bad kernel result type");
@@ -1234,12 +1264,15 @@ class Compiler {
         return NodePtr(new GenNode(std::move(inner)));
       }
       case ExprKind::kSum: {
-        AQL_ASSIGN_OR_RETURN(NodePtr src, CompileNode(e->child(1)));
+        // A Sum over gen(n) counts 0..n-1 instead of building the set.
+        const bool counted = e->child(1)->is(ExprKind::kGen);
+        AQL_ASSIGN_OR_RETURN(NodePtr src, CompileNode(counted ? e->child(1)->child(0)
+                                                              : e->child(1)));
         size_t slot = Push(e->binder());
         auto body = CompileNode(e->child(0));
         Pop();
         AQL_RETURN_IF_ERROR(body.status());
-        return NodePtr(new SumNode(slot, std::move(body).value(), std::move(src),
+        return NodePtr(new SumNode(slot, std::move(body).value(), std::move(src), counted,
                                    TryMatchSumPushdown(e, &proof_)));
       }
       case ExprKind::kTab: {

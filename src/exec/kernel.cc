@@ -1,11 +1,13 @@
 #include "exec/kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
 
 #include "analysis/absint.h"
 #include "analysis/affine.h"
+#include "base/cancel.h"
 #include "base/strings.h"
 #include "core/expr_ops.h"
 
@@ -14,32 +16,68 @@ namespace exec {
 
 namespace {
 
+// The names visible in a tabulation body: the tabulation's binder slots
+// (binder order), the compiler's scope for everything else, and the
+// binders of the kernel sums enclosing the current node (innermost last),
+// which shadow both.
+struct SpecScope {
+  const std::vector<size_t>& binder_slots;
+  const SlotLookup& lookup;
+  std::vector<std::string> sums;
+};
+
+// A variable becomes kBinder (a tabulation or sum binder: a nat loop
+// index) or kSlot (any other frame slot).
+bool BuildVar(const std::string& name, const SpecScope& scope, KernelSpec* out) {
+  for (size_t d = scope.sums.size(); d-- > 0;) {
+    if (scope.sums[d] == name) {
+      out->op = KernelSpec::Op::kBinder;
+      out->index = scope.binder_slots.size() + d;
+      return true;
+    }
+  }
+  Result<size_t> slot = scope.lookup(name);
+  if (!slot.ok()) return false;
+  // Innermost binding wins, and binder slots are the innermost scope
+  // at the body, so a binder-slot hit is exactly a loop index.
+  for (size_t j = 0; j < scope.binder_slots.size(); ++j) {
+    if (scope.binder_slots[j] == slot.value()) {
+      out->op = KernelSpec::Op::kBinder;
+      out->index = j;
+      return true;
+    }
+  }
+  out->op = KernelSpec::Op::kSlot;
+  out->index = slot.value();
+  return true;
+}
+
+// The array operand of a subscript or dim: a non-binder frame slot (the
+// array sits in a slot, resolved once at instantiation) or an inlined
+// literal array (what a top-level val becomes after name resolution).
+bool BuildArray(const Expr& arr, const SpecScope& scope, KernelSpec* out) {
+  if (arr.is(ExprKind::kVar)) {
+    // A binder is a nat, not an array.
+    return BuildVar(arr.var_name(), scope, out) && out->op == KernelSpec::Op::kSlot;
+  }
+  if (arr.is(ExprKind::kLiteral) && arr.literal().kind() == ValueKind::kArray) {
+    out->op = KernelSpec::Op::kLiteralArr;
+    out->literal = arr.literal();
+    return true;
+  }
+  return false;
+}
+
 // Resolves a kDim-rooted expression to a kDimOf spec leaf when the array
-// operand is itself admissible (a non-binder frame slot or a literal
-// array). `rank`/`j` come from the surrounding kDim/kProj.
-bool BuildDimOf(const Expr& arr, size_t rank, size_t j,
-                const std::vector<size_t>& binder_slots, const SlotLookup& lookup,
+// operand is itself admissible. `rank`/`j` come from the surrounding
+// kDim/kProj.
+bool BuildDimOf(const Expr& arr, size_t rank, size_t j, const SpecScope& scope,
                 KernelSpec* out) {
   out->op = KernelSpec::Op::kDimOf;
   out->nat = rank;
   out->index = j;
   out->kids.resize(1);
-  if (arr.is(ExprKind::kVar)) {
-    Result<size_t> slot = lookup(arr.var_name());
-    if (!slot.ok()) return false;
-    for (size_t b : binder_slots) {
-      if (b == slot.value()) return false;  // a binder is a nat, not an array
-    }
-    out->kids[0].op = KernelSpec::Op::kSlot;
-    out->kids[0].index = slot.value();
-    return true;
-  }
-  if (arr.is(ExprKind::kLiteral) && arr.literal().kind() == ValueKind::kArray) {
-    out->kids[0].op = KernelSpec::Op::kLiteralArr;
-    out->kids[0].literal = arr.literal();
-    return true;
-  }
-  return false;
+  return BuildArray(arr, scope, &out->kids[0]);
 }
 
 // Structural admission of the kernel fragment. Mirrors the runtime nodes
@@ -47,8 +85,7 @@ bool BuildDimOf(const Expr& arr, size_t rank, size_t j,
 // truncates, nat div/mod by zero is ⊥, real div by zero is IEEE (not ⊥),
 // comparisons are the 3-way `x<y ? -1 : y<x ? 1 : 0` (so NaN compares
 // equal to everything, as in Value::Compare).
-bool BuildSpec(const Expr& e, const std::vector<size_t>& binder_slots,
-               const SlotLookup& lookup, KernelSpec* out) {
+bool BuildSpec(const Expr& e, SpecScope* scope, KernelSpec* out) {
   switch (e.kind()) {
     case ExprKind::kNatConst:
       out->op = KernelSpec::Op::kNatConst;
@@ -81,74 +118,42 @@ bool BuildSpec(const Expr& e, const std::vector<size_t>& binder_slots,
           return false;
       }
     }
-    case ExprKind::kVar: {
-      Result<size_t> slot = lookup(e.var_name());
-      if (!slot.ok()) return false;
-      // Innermost binding wins, and binder slots are the innermost scope
-      // at the body, so a binder-slot hit is exactly a loop index.
-      for (size_t j = 0; j < binder_slots.size(); ++j) {
-        if (binder_slots[j] == slot.value()) {
-          out->op = KernelSpec::Op::kBinder;
-          out->index = j;
-          return true;
-        }
-      }
-      out->op = KernelSpec::Op::kSlot;
-      out->index = slot.value();
-      return true;
-    }
+    case ExprKind::kVar:
+      return BuildVar(e.var_name(), *scope, out);
     case ExprKind::kArith: {
       out->op = KernelSpec::Op::kArith;
       out->arith = e.arith_op();
       out->kids.resize(2);
-      return BuildSpec(*e.child(0), binder_slots, lookup, &out->kids[0]) &&
-             BuildSpec(*e.child(1), binder_slots, lookup, &out->kids[1]);
+      return BuildSpec(*e.child(0), scope, &out->kids[0]) &&
+             BuildSpec(*e.child(1), scope, &out->kids[1]);
     }
     case ExprKind::kCmp: {
       out->op = KernelSpec::Op::kCmp;
       out->cmp = e.cmp_op();
       out->kids.resize(2);
-      return BuildSpec(*e.child(0), binder_slots, lookup, &out->kids[0]) &&
-             BuildSpec(*e.child(1), binder_slots, lookup, &out->kids[1]);
+      return BuildSpec(*e.child(0), scope, &out->kids[0]) &&
+             BuildSpec(*e.child(1), scope, &out->kids[1]);
     }
     case ExprKind::kIf: {
       out->op = KernelSpec::Op::kIf;
       out->kids.resize(3);
-      return BuildSpec(*e.child(0), binder_slots, lookup, &out->kids[0]) &&
-             BuildSpec(*e.child(1), binder_slots, lookup, &out->kids[1]) &&
-             BuildSpec(*e.child(2), binder_slots, lookup, &out->kids[2]);
+      return BuildSpec(*e.child(0), scope, &out->kids[0]) &&
+             BuildSpec(*e.child(1), scope, &out->kids[1]) &&
+             BuildSpec(*e.child(2), scope, &out->kids[2]);
     }
     case ExprKind::kSubscript: {
-      // Subscripts of a plain variable (the array sits in a frame slot,
-      // resolved once at instantiation) or of an inlined literal array
-      // (what a top-level val becomes after name resolution).
-      const Expr& arr = *e.child(0);
       out->op = KernelSpec::Op::kSubscript;
       out->kids.resize(1);
-      if (arr.is(ExprKind::kVar)) {
-        Result<size_t> slot = lookup(arr.var_name());
-        if (!slot.ok()) return false;
-        for (size_t b : binder_slots) {
-          if (b == slot.value()) return false;  // a binder is a nat, not an array
-        }
-        out->kids[0].op = KernelSpec::Op::kSlot;
-        out->kids[0].index = slot.value();
-      } else if (arr.is(ExprKind::kLiteral) &&
-                 arr.literal().kind() == ValueKind::kArray) {
-        out->kids[0].op = KernelSpec::Op::kLiteralArr;
-        out->kids[0].literal = arr.literal();
-      } else {
-        return false;
-      }
+      if (!BuildArray(*e.child(0), *scope, &out->kids[0])) return false;
       const Expr& idx = *e.child(1);
       if (idx.is(ExprKind::kTuple)) {
         for (const ExprPtr& c : idx.children()) {
           out->kids.emplace_back();
-          if (!BuildSpec(*c, binder_slots, lookup, &out->kids.back())) return false;
+          if (!BuildSpec(*c, scope, &out->kids.back())) return false;
         }
       } else {
         out->kids.emplace_back();
-        if (!BuildSpec(idx, binder_slots, lookup, &out->kids.back())) return false;
+        if (!BuildSpec(idx, scope, &out->kids.back())) return false;
       }
       return true;
     }
@@ -157,13 +162,26 @@ bool BuildSpec(const Expr& e, const std::vector<size_t>& binder_slots,
       // `A[(i + 1) % dim!1 A]` needs in scope. Higher ranks arrive through
       // the kProj case below.
       if (e.rank() != 1) return false;
-      return BuildDimOf(*e.child(0), 1, 0, binder_slots, lookup, out);
+      return BuildDimOf(*e.child(0), 1, 0, *scope, out);
     case ExprKind::kProj: {
       // pi_j(dim!k a): one extent of a rank-k array.
       const Expr& d = *e.child(0);
       if (!d.is(ExprKind::kDim) || d.rank() != e.proj_arity()) return false;
-      return BuildDimOf(*d.child(0), d.rank(), e.proj_index() - 1, binder_slots,
-                        lookup, out);
+      return BuildDimOf(*d.child(0), d.rank(), e.proj_index() - 1, *scope, out);
+    }
+    case ExprKind::kSum: {
+      // sum k < n. body: only a count over gen(n); the trip count is
+      // evaluated outside the sum's binder, the body inside it.
+      const ExprPtr& src = e.child(1);
+      if (!src->is(ExprKind::kGen)) return false;
+      out->op = KernelSpec::Op::kSum;
+      out->index = scope->binder_slots.size() + scope->sums.size();
+      out->kids.resize(2);
+      if (!BuildSpec(*src->child(0), scope, &out->kids[0])) return false;
+      scope->sums.push_back(e.binder());
+      const bool ok = BuildSpec(*e.child(0), scope, &out->kids[1]);
+      scope->sums.pop_back();
+      return ok;
     }
     default:
       return false;
@@ -176,7 +194,8 @@ std::unique_ptr<KernelSpec> BuildKernelSpec(const Expr& body,
                                             const std::vector<size_t>& binder_slots,
                                             const SlotLookup& lookup) {
   auto spec = std::make_unique<KernelSpec>();
-  if (!BuildSpec(body, binder_slots, lookup, spec.get())) return nullptr;
+  SpecScope scope{binder_slots, lookup, {}};
+  if (!BuildSpec(body, &scope, spec.get())) return nullptr;
   return spec;
 }
 
@@ -184,10 +203,10 @@ std::unique_ptr<KernelSpec> BuildKernelSpec(const Expr& body,
 
 namespace {
 
-// Divisor of a nat div/mod proven nonzero: a nonzero constant, or a
-// control path that established `0 < d`. (A real divisor never needs this
-// — IEEE division is total.)
-bool DivisorProvenNonzero(const ExprPtr& d, const analysis::SymEnv& env) {
+// A nat div/mod divisor or a sum's trip count proven nonzero: a nonzero
+// constant, or a control path that established `0 < d`. (A real divisor
+// never needs this — IEEE division is total.)
+bool ProvenNonzero(const ExprPtr& d, const analysis::SymEnv& env) {
   if (std::optional<uint64_t> n = NatConstOf(d)) return *n != 0;
   if (d->is(ExprKind::kRealConst)) return true;
   if (d->is(ExprKind::kLiteral) && d->literal().kind() == ValueKind::kReal) {
@@ -205,7 +224,7 @@ void AnnotateNode(const ExprPtr& e, const analysis::SymEnv& env, KernelSpec* spe
     case KernelSpec::Op::kArith: {
       if (!e->is(ExprKind::kArith) || spec->kids.size() != 2) return;
       if (e->arith_op() == ArithOp::kDiv || e->arith_op() == ArithOp::kMod) {
-        spec->div_safe = DivisorProvenNonzero(e->child(1), env);
+        spec->div_safe = ProvenNonzero(e->child(1), env);
       }
       AnnotateNode(e->child(0), env, &spec->kids[0], proof);
       AnnotateNode(e->child(1), env, &spec->kids[1], proof);
@@ -274,6 +293,17 @@ void AnnotateNode(const ExprPtr& e, const analysis::SymEnv& env, KernelSpec* spe
       }
       return;
     }
+    case KernelSpec::Op::kSum: {
+      if (!e->is(ExprKind::kSum) || spec->kids.size() != 2) return;
+      const ExprPtr& trips = e->child(1)->child(0);
+      spec->trips_nonzero = ProvenNonzero(trips, env);
+      AnnotateNode(trips, env, &spec->kids[0], proof);
+      // The body sees the sum binder: facts it shadows die, `k < n` holds.
+      analysis::SymEnv body_env = analysis::KillShadowed(env, {e->binder()});
+      analysis::AddBinderFacts(e, 0, &body_env);
+      AnnotateNode(e->child(0), body_env, &spec->kids[1], proof);
+      return;
+    }
     default:
       return;  // leaves (consts, binders, slots, kDimOf) carry no proofs
   }
@@ -291,8 +321,7 @@ void AnnotateKernelSpec(const Expr& tab, KernelSpec* spec, analysis::Proof* proo
 
 // ---------- runtime instantiation ----------
 
-bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
-                   std::vector<Value>* pinned, RtNode* out, bool* unchecked) {
+bool Kernel::Build(const KernelSpec& spec, const Frame& frame, RtNode* out) {
   out->op = spec.op;
   switch (spec.op) {
     case KernelSpec::Op::kNatConst:
@@ -339,8 +368,8 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
     case KernelSpec::Op::kArith: {
       out->arith = spec.arith;
       out->kids.resize(2);
-      if (!Build(spec.kids[0], frame, pinned, &out->kids[0], unchecked) ||
-          !Build(spec.kids[1], frame, pinned, &out->kids[1], unchecked)) {
+      if (!Build(spec.kids[0], frame, &out->kids[0]) ||
+          !Build(spec.kids[1], frame, &out->kids[1])) {
         return false;
       }
       if (out->kids[0].type != out->kids[1].type) return false;
@@ -352,15 +381,15 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
         // a divisor frozen to a nonzero constant at instantiation.
         bool safe = spec.div_safe || (out->kids[1].op == KernelSpec::Op::kNatConst &&
                                       out->kids[1].nat != 0);
-        if (!safe) *unchecked = false;
+        if (!safe) unchecked_ = false;
       }
       return true;
     }
     case KernelSpec::Op::kCmp: {
       out->cmp = spec.cmp;
       out->kids.resize(2);
-      if (!Build(spec.kids[0], frame, pinned, &out->kids[0], unchecked) ||
-          !Build(spec.kids[1], frame, pinned, &out->kids[1], unchecked)) {
+      if (!Build(spec.kids[0], frame, &out->kids[0]) ||
+          !Build(spec.kids[1], frame, &out->kids[1])) {
         return false;
       }
       if (out->kids[0].type != out->kids[1].type) return false;
@@ -370,7 +399,7 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
     case KernelSpec::Op::kIf: {
       out->kids.resize(3);
       for (size_t i = 0; i < 3; ++i) {
-        if (!Build(spec.kids[i], frame, pinned, &out->kids[i], unchecked)) return false;
+        if (!Build(spec.kids[i], frame, &out->kids[i])) return false;
       }
       if (out->kids[0].type != Type::kBool) return false;
       if (out->kids[1].type != out->kids[2].type) return false;
@@ -392,8 +421,8 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
       if (!a.unboxed()) return false;
       size_t rank = spec.kids.size() - 1;
       if (a.dims.size() != rank) return false;
-      pinned->push_back(v);  // keep the buffer alive for the kernel
-      out->arr = &pinned->back().array();
+      pinned_.push_back(v);  // keep the buffer alive for the kernel
+      out->arr = &pinned_.back().array();
       switch (a.payload) {
         case ArrayRep::Payload::kNats: out->type = Type::kNat; break;
         case ArrayRep::Payload::kReals: out->type = Type::kReal; break;
@@ -405,7 +434,7 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
       }
       out->kids.resize(rank);
       for (size_t i = 0; i < rank; ++i) {
-        if (!Build(spec.kids[1 + i], frame, pinned, &out->kids[i], unchecked)) return false;
+        if (!Build(spec.kids[1 + i], frame, &out->kids[i])) return false;
         if (out->kids[i].type != Type::kNat) return false;
         // ⊥ source: out-of-bounds index. Discharged by a symbolic proof
         // against the extent, by a constant bound validated against the
@@ -416,7 +445,7 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
              spec.idx_ub[i] <= a.dims[i]) ||
             (out->kids[i].op == KernelSpec::Op::kNatConst &&
              out->kids[i].nat < a.dims[i]);
-        if (!safe) *unchecked = false;
+        if (!safe) unchecked_ = false;
       }
       return true;
     }
@@ -442,6 +471,28 @@ bool Kernel::Build(const KernelSpec& spec, const Frame& frame,
       out->nat = a.dims[spec.index];
       return true;
     }
+    case KernelSpec::Op::kSum: {
+      out->binder = spec.index;
+      index_width_ = std::max(index_width_, spec.index + 1);
+      out->kids.resize(2);
+      if (!Build(spec.kids[0], frame, &out->kids[0]) ||
+          !Build(spec.kids[1], frame, &out->kids[1])) {
+        return false;
+      }
+      if (out->kids[0].type != Type::kNat || out->kids[1].type == Type::kBool) {
+        return false;
+      }
+      out->type = out->kids[1].type;
+      if (out->type == Type::kReal) {
+        // ⊥-like source: a zero-trip real fold is the nat 0, which only
+        // the generic path can place. Discharged by a static proof or a
+        // trip count frozen to a nonzero constant.
+        bool safe = spec.trips_nonzero || (out->kids[0].op == KernelSpec::Op::kNatConst &&
+                                           out->kids[0].nat != 0);
+        if (!safe) unchecked_ = false;
+      }
+      return true;
+    }
     case KernelSpec::Op::kLiteralArr:
       return false;  // only legal as a kSubscript's array operand
   }
@@ -452,15 +503,24 @@ std::unique_ptr<Kernel> Kernel::Instantiate(const KernelSpec& spec, const Frame&
   std::unique_ptr<Kernel> k(new Kernel());
   // The ArrayRep pointers taken while building stay valid as pinned_
   // grows: each rep is heap-owned by its Value's shared_ptr.
-  bool unchecked = true;
-  if (!Build(spec, frame, &k->pinned_, &k->root_, &unchecked)) return nullptr;
-  k->unchecked_ = unchecked;
+  if (!k->Build(spec, frame, &k->root_)) return nullptr;
   return k;
 }
 
 // ---------- evaluation ----------
 
-bool Kernel::SubscriptFlat(const RtNode& n, const uint64_t* idx, uint64_t* flat) {
+namespace {
+
+// A sum polls for cancellation every 4096 trips, so one long cell cannot
+// outlive a deadline. Interrupts are sticky: the caller's next poll sees
+// the same status and reports it.
+inline bool SumInterrupted(uint64_t trip) {
+  return (trip & 0xFFF) == 0xFFF && !CheckInterrupt().ok();
+}
+
+}  // namespace
+
+bool Kernel::SubscriptFlat(const RtNode& n, uint64_t* idx, uint64_t* flat) {
   const ArrayRep& a = *n.arr;
   uint64_t f = 0;
   for (size_t i = 0; i < n.kids.size(); ++i) {
@@ -473,7 +533,7 @@ bool Kernel::SubscriptFlat(const RtNode& n, const uint64_t* idx, uint64_t* flat)
   return true;
 }
 
-bool Kernel::NatAt(const RtNode& n, const uint64_t* idx, uint64_t* out) {
+bool Kernel::NatAt(const RtNode& n, uint64_t* idx, uint64_t* out) {
   switch (n.op) {
     case KernelSpec::Op::kNatConst:
       *out = n.nat;
@@ -510,12 +570,26 @@ bool Kernel::NatAt(const RtNode& n, const uint64_t* idx, uint64_t* out) {
       *out = n.arr->nats[flat];
       return true;
     }
+    case KernelSpec::Op::kSum: {
+      uint64_t trips;
+      if (!NatAt(n.kids[0], idx, &trips)) return false;
+      uint64_t total = 0;
+      for (uint64_t t = 0; t < trips; ++t) {
+        if (SumInterrupted(t)) return false;
+        idx[n.binder] = t;
+        uint64_t v;
+        if (!NatAt(n.kids[1], idx, &v)) return false;
+        total += v;
+      }
+      *out = total;
+      return true;
+    }
     default:
       return false;
   }
 }
 
-bool Kernel::RealAt(const RtNode& n, const uint64_t* idx, double* out) {
+bool Kernel::RealAt(const RtNode& n, uint64_t* idx, double* out) {
   switch (n.op) {
     case KernelSpec::Op::kRealConst:
       *out = n.real;
@@ -543,12 +617,28 @@ bool Kernel::RealAt(const RtNode& n, const uint64_t* idx, double* out) {
       *out = n.arr->reals[flat];
       return true;
     }
+    case KernelSpec::Op::kSum: {
+      uint64_t trips;
+      // Zero trips: the fold's value is the nat 0 (never 0.0); leave the
+      // cell to the generic path.
+      if (!NatAt(n.kids[0], idx, &trips) || trips == 0) return false;
+      double total = 0;
+      for (uint64_t t = 0; t < trips; ++t) {
+        if (SumInterrupted(t)) return false;
+        idx[n.binder] = t;
+        double v;
+        if (!RealAt(n.kids[1], idx, &v)) return false;
+        total += v;
+      }
+      *out = total;
+      return true;
+    }
     default:
       return false;
   }
 }
 
-bool Kernel::BoolAt(const RtNode& n, const uint64_t* idx, uint8_t* out) {
+bool Kernel::BoolAt(const RtNode& n, uint64_t* idx, uint8_t* out) {
   switch (n.op) {
     case KernelSpec::Op::kBoolConst:
       *out = n.boolean;
@@ -603,13 +693,13 @@ bool Kernel::BoolAt(const RtNode& n, const uint64_t* idx, uint8_t* out) {
   }
 }
 
-bool Kernel::EvalNat(const uint64_t* idx, uint64_t* out) const {
+bool Kernel::EvalNat(uint64_t* idx, uint64_t* out) const {
   return NatAt(root_, idx, out);
 }
-bool Kernel::EvalReal(const uint64_t* idx, double* out) const {
+bool Kernel::EvalReal(uint64_t* idx, double* out) const {
   return RealAt(root_, idx, out);
 }
-bool Kernel::EvalBool(const uint64_t* idx, uint8_t* out) const {
+bool Kernel::EvalBool(uint64_t* idx, uint8_t* out) const {
   return BoolAt(root_, idx, out);
 }
 
@@ -620,24 +710,42 @@ bool Kernel::EvalBool(const uint64_t* idx, uint8_t* out) const {
 // reachable behind unchecked() — instantiation proved every subscript
 // in-range against the concrete extents and every nat divisor nonzero.
 
-uint64_t Kernel::FlatU(const RtNode& n, const uint64_t* idx) {
+// Loop indices, constants and subscripts — the subscript parts and
+// operands of typical fold bodies — are read without a recursive call.
+inline uint64_t Kernel::NatKidU(const RtNode& k, uint64_t* idx) {
+  switch (k.op) {
+    case KernelSpec::Op::kBinder: return idx[k.binder];
+    case KernelSpec::Op::kNatConst: return k.nat;
+    case KernelSpec::Op::kSubscript: return k.arr->nats[FlatU(k, idx)];
+    default: return NatAtU(k, idx);
+  }
+}
+inline double Kernel::RealKidU(const RtNode& k, uint64_t* idx) {
+  switch (k.op) {
+    case KernelSpec::Op::kRealConst: return k.real;
+    case KernelSpec::Op::kSubscript: return k.arr->reals[FlatU(k, idx)];
+    default: return RealAtU(k, idx);
+  }
+}
+
+uint64_t Kernel::FlatU(const RtNode& n, uint64_t* idx) {
   const ArrayRep& a = *n.arr;
   uint64_t f = 0;
   for (size_t i = 0; i < n.kids.size(); ++i) {
-    f = f * a.dims[i] + NatAtU(n.kids[i], idx);
+    f = f * a.dims[i] + NatKidU(n.kids[i], idx);
   }
   return f;
 }
 
-uint64_t Kernel::NatAtU(const RtNode& n, const uint64_t* idx) {
+uint64_t Kernel::NatAtU(const RtNode& n, uint64_t* idx) {
   switch (n.op) {
     case KernelSpec::Op::kNatConst:
       return n.nat;
     case KernelSpec::Op::kBinder:
       return idx[n.binder];
     case KernelSpec::Op::kArith: {
-      uint64_t x = NatAtU(n.kids[0], idx);
-      uint64_t y = NatAtU(n.kids[1], idx);
+      uint64_t x = NatKidU(n.kids[0], idx);
+      uint64_t y = NatKidU(n.kids[1], idx);
       switch (n.arith) {
         case ArithOp::kAdd: return x + y;
         case ArithOp::kMonus: return x >= y ? x - y : 0;
@@ -651,18 +759,28 @@ uint64_t Kernel::NatAtU(const RtNode& n, const uint64_t* idx) {
       return NatAtU(n.kids[BoolAtU(n.kids[0], idx) ? 1 : 2], idx);
     case KernelSpec::Op::kSubscript:
       return n.arr->nats[FlatU(n, idx)];
+    case KernelSpec::Op::kSum: {
+      const uint64_t trips = NatAtU(n.kids[0], idx);
+      uint64_t total = 0;
+      for (uint64_t t = 0; t < trips; ++t) {
+        if (SumInterrupted(t)) break;
+        idx[n.binder] = t;
+        total += NatKidU(n.kids[1], idx);
+      }
+      return total;
+    }
     default:
       return 0;
   }
 }
 
-double Kernel::RealAtU(const RtNode& n, const uint64_t* idx) {
+double Kernel::RealAtU(const RtNode& n, uint64_t* idx) {
   switch (n.op) {
     case KernelSpec::Op::kRealConst:
       return n.real;
     case KernelSpec::Op::kArith: {
-      double x = RealAtU(n.kids[0], idx);
-      double y = RealAtU(n.kids[1], idx);
+      double x = RealKidU(n.kids[0], idx);
+      double y = RealKidU(n.kids[1], idx);
       switch (n.arith) {
         case ArithOp::kAdd: return x + y;
         case ArithOp::kMonus: return x - y;
@@ -676,12 +794,22 @@ double Kernel::RealAtU(const RtNode& n, const uint64_t* idx) {
       return RealAtU(n.kids[BoolAtU(n.kids[0], idx) ? 1 : 2], idx);
     case KernelSpec::Op::kSubscript:
       return n.arr->reals[FlatU(n, idx)];
+    case KernelSpec::Op::kSum: {
+      const uint64_t trips = NatAtU(n.kids[0], idx);  // >= 1: unchecked() holds
+      double total = 0;
+      for (uint64_t t = 0; t < trips; ++t) {
+        if (SumInterrupted(t)) break;
+        idx[n.binder] = t;
+        total += RealKidU(n.kids[1], idx);
+      }
+      return total;
+    }
     default:
       return 0;
   }
 }
 
-uint8_t Kernel::BoolAtU(const RtNode& n, const uint64_t* idx) {
+uint8_t Kernel::BoolAtU(const RtNode& n, uint64_t* idx) {
   switch (n.op) {
     case KernelSpec::Op::kBoolConst:
       return n.boolean;
@@ -726,13 +854,13 @@ uint8_t Kernel::BoolAtU(const RtNode& n, const uint64_t* idx) {
   }
 }
 
-uint64_t Kernel::EvalNatUnchecked(const uint64_t* idx) const {
+uint64_t Kernel::EvalNatUnchecked(uint64_t* idx) const {
   return NatAtU(root_, idx);
 }
-double Kernel::EvalRealUnchecked(const uint64_t* idx) const {
+double Kernel::EvalRealUnchecked(uint64_t* idx) const {
   return RealAtU(root_, idx);
 }
-uint8_t Kernel::EvalBoolUnchecked(const uint64_t* idx) const {
+uint8_t Kernel::EvalBoolUnchecked(uint64_t* idx) const {
   return BoolAtU(root_, idx);
 }
 

@@ -10,10 +10,11 @@
 //
 //   1. Compile time (BuildKernelSpec): a structural scan of the body Expr
 //      admits only the closed kernel fragment — constants, binders, frame
-//      slots, arithmetic, comparisons, if/then/else, and subscripts whose
-//      array is a plain slot. Anything else (lambdas, sets, nested
-//      tabulations, externals, ...) returns nullptr and the tabulation
-//      uses the generic node interpreter.
+//      slots, arithmetic, comparisons, if/then/else, subscripts whose
+//      array is a plain slot, and sums over `gen(n)` (`sum k < n. e`, the
+//      §5 index loop of matmul/conv1/window_sum). Anything else (lambdas,
+//      sets, nested tabulations, externals, ...) returns nullptr and the
+//      tabulation uses the generic node interpreter.
 //
 //   2. Run time (Kernel::Instantiate): the spec is typed against the
 //      concrete frame. Scalar slots freeze into constants; array slots
@@ -25,7 +26,14 @@
 // Kernel evaluation returns false when the body value is ⊥ at some index
 // (nat division/modulo by zero, out-of-bounds subscript). The caller then
 // re-runs the whole tabulation generically, producing the partial array
-// with per-point ⊥ holes that the semantics require.
+// with per-point ⊥ holes that the semantics require. A real-typed sum with
+// zero trips returns false too: both backends give such a fold the nat
+// identity 0, which a real buffer cannot hold, so the generic path builds
+// that cell.
+//
+// Each cell's sum folds left to right from 0 / +0.0 on one thread — the
+// order SumNode and the tree walker add in — so real results round
+// identically; the parallel split stays over cells.
 //
 // A third stage removes even those per-cell tests: AnnotateKernelSpec
 // attaches static proofs (subscript in-range, divisor nonzero) from the
@@ -66,13 +74,17 @@ struct KernelSpec {
     kSubscript,   // kids[0] is the array (kSlot or kLiteralArr); kids[1..] nat indices
     kLiteralArr,  // inlined literal array (value in `literal`)
     kDimOf,       // extent `index` of the rank-`nat` array kids[0]
+    kSum,         // sum k < kids[0]. kids[1], k is loop index `index`
   };
 
   Op op;
   uint64_t nat = 0;
   double real = 0;
   bool boolean = false;
-  size_t index = 0;  // binder position (kBinder), frame slot (kSlot), dim (kDimOf)
+  // Loop-index position (kBinder, kSum), frame slot (kSlot), dim (kDimOf).
+  // Positions 0..k-1 are the tabulation binders; a sum nested d deep in
+  // kernel sums binds position k + d.
+  size_t index = 0;
   ArithOp arith = ArithOp::kAdd;
   CmpOp cmp = CmpOp::kEq;
   Value literal;  // kLiteralArr only (vals inline as literals, §4 openness)
@@ -85,7 +97,10 @@ struct KernelSpec {
   //   idx_ub       kSubscript, per dimension: exclusive constant upper
   //                bound of the index (0 = none; a real bound is >= 1),
   //                checked against the concrete extent at instantiation
+  //   trips_nonzero kSum whose trip count is provably nonzero (a real
+  //                fold needs it to skip the zero-trip fallback)
   bool div_safe = false;
+  bool trips_nonzero = false;
   std::vector<uint8_t> idx_proven;
   std::vector<uint64_t> idx_ub;
 };
@@ -102,11 +117,12 @@ std::unique_ptr<KernelSpec> BuildKernelSpec(const Expr& body,
                                             const SlotLookup& lookup);
 
 // Attaches bound/definedness proofs to a spec built from `tab`'s body
-// (div_safe, idx_proven, idx_ub above), using the shared symbolic prover:
-// tabulation binders are below their bounds, a conditional's test holds
-// in its then-branch. Sound because the kernel fragment introduces no
-// binders of its own — a name means the same frame slot everywhere — and
-// the loop extents are the evaluated bounds. Called once at compile time.
+// (div_safe, idx_proven, idx_ub, trips_nonzero above), using the shared
+// symbolic prover: tabulation binders are below their bounds, a sum
+// binder below its gen argument, a conditional's test holds in its
+// then-branch. Entering a sum kills the facts its binder shadows, the
+// same scoping the abstract interpreter applies; the loop extents are the
+// evaluated bounds. Called once at compile time.
 // The relational affine domain (analysis/affine.h) tightens idx_ub and
 // proves in-bounds where the syntactic provers give up (cancellation,
 // exact division); when an affine fact is what closed the proof, an
@@ -129,21 +145,31 @@ class Kernel {
 
   // True when instantiation discharged every ⊥ source in the body — all
   // subscripts proven in-range against the concrete extents, all nat
-  // div/mod divisors proven nonzero — so the Eval*Unchecked evaluators
-  // below are total and the per-cell ⊥ protocol can be skipped.
+  // div/mod divisors proven nonzero, every real sum's trip count proven
+  // nonzero — so the Eval*Unchecked evaluators below are total and the
+  // per-cell ⊥ protocol can be skipped.
   bool unchecked() const { return unchecked_; }
 
-  // Evaluate the body at multi-index `idx` (binder order). Exactly one of
-  // these matches result_type(); all return false when the value is ⊥.
-  bool EvalNat(const uint64_t* idx, uint64_t* out) const;
-  bool EvalReal(const uint64_t* idx, double* out) const;
-  bool EvalBool(const uint64_t* idx, uint8_t* out) const;
+  // Length of the index array the evaluators take: the sum binders'
+  // positions beyond the tabulation rank (0 when the body has no sum).
+  size_t index_width() const { return index_width_; }
+
+  // Evaluate the body at multi-index `idx`: the tabulation binders in
+  // binder order, followed by max(0, index_width() - rank) scratch slots
+  // the sums write their binders into (so one `idx` per thread). Exactly
+  // one of these matches result_type(); all return false when the value
+  // is ⊥ (or a sum saw an interrupt; the generic re-run reports it).
+  bool EvalNat(uint64_t* idx, uint64_t* out) const;
+  bool EvalReal(uint64_t* idx, double* out) const;
+  bool EvalBool(uint64_t* idx, uint8_t* out) const;
 
   // Checkless evaluation: no per-cell bounds tests, no ⊥ signalling.
-  // Callers must hold unchecked() == true.
-  uint64_t EvalNatUnchecked(const uint64_t* idx) const;
-  double EvalRealUnchecked(const uint64_t* idx) const;
-  uint8_t EvalBoolUnchecked(const uint64_t* idx) const;
+  // Callers must hold unchecked() == true. A sum that sees an interrupt
+  // stops early with a partial value; the caller must poll
+  // CheckInterrupt() before using the results.
+  uint64_t EvalNatUnchecked(uint64_t* idx) const;
+  double EvalRealUnchecked(uint64_t* idx) const;
+  uint8_t EvalBoolUnchecked(uint64_t* idx) const;
 
  private:
   struct RtNode {
@@ -161,22 +187,27 @@ class Kernel {
 
   Kernel() = default;
 
-  static bool Build(const KernelSpec& spec, const Frame& frame,
-                    std::vector<Value>* pinned, RtNode* out, bool* unchecked);
+  // Types `spec` into `out` against `frame`, pinning subscripted arrays,
+  // clearing unchecked_ at any undischarged ⊥ source and widening
+  // index_width_ for each sum binder.
+  bool Build(const KernelSpec& spec, const Frame& frame, RtNode* out);
 
-  static bool NatAt(const RtNode& n, const uint64_t* idx, uint64_t* out);
-  static bool RealAt(const RtNode& n, const uint64_t* idx, double* out);
-  static bool BoolAt(const RtNode& n, const uint64_t* idx, uint8_t* out);
-  static bool SubscriptFlat(const RtNode& n, const uint64_t* idx, uint64_t* flat);
+  static bool NatAt(const RtNode& n, uint64_t* idx, uint64_t* out);
+  static bool RealAt(const RtNode& n, uint64_t* idx, double* out);
+  static bool BoolAt(const RtNode& n, uint64_t* idx, uint8_t* out);
+  static bool SubscriptFlat(const RtNode& n, uint64_t* idx, uint64_t* flat);
 
-  static uint64_t NatAtU(const RtNode& n, const uint64_t* idx);
-  static double RealAtU(const RtNode& n, const uint64_t* idx);
-  static uint8_t BoolAtU(const RtNode& n, const uint64_t* idx);
-  static uint64_t FlatU(const RtNode& n, const uint64_t* idx);
+  static uint64_t NatAtU(const RtNode& n, uint64_t* idx);
+  static double RealAtU(const RtNode& n, uint64_t* idx);
+  static uint8_t BoolAtU(const RtNode& n, uint64_t* idx);
+  static uint64_t FlatU(const RtNode& n, uint64_t* idx);
+  static uint64_t NatKidU(const RtNode& k, uint64_t* idx);
+  static double RealKidU(const RtNode& k, uint64_t* idx);
 
   RtNode root_;
   std::vector<Value> pinned_;  // keeps subscripted arrays alive
-  bool unchecked_ = false;
+  bool unchecked_ = true;
+  size_t index_width_ = 0;
 };
 
 }  // namespace exec

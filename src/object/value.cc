@@ -544,6 +544,7 @@ uint64_t HashValue(const Value& v) {
     }
     case ValueKind::kArray: {
       const ArrayRep& a = v.array();
+      if (uint64_t memo = a.hash_memo.value.load(std::memory_order_relaxed)) return memo;
       h = HashMix(h, a.dims.size());
       for (uint64_t d : a.dims) h = HashMix(h, d);
       switch (a.payload) {
@@ -565,6 +566,7 @@ uint64_t HashValue(const Value& v) {
           h = HashMix(h, a.tiled->ProvenanceHash());
           break;
       }
+      a.hash_memo.value.store(h, std::memory_order_relaxed);
       return h;
     }
     case ValueKind::kFunc:

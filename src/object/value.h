@@ -28,6 +28,7 @@
 #ifndef AQL_OBJECT_VALUE_H_
 #define AQL_OBJECT_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -141,6 +142,21 @@ struct ArrayRep {
   std::vector<double> reals;
   std::vector<uint8_t> bools;
   std::shared_ptr<const LazyRealSlab> tiled;  // active iff payload == kTiled
+
+  // HashValue's result for this array once computed (0: not yet). A val
+  // is inlined into every query that names it, so the plan and result
+  // caches hash the same rep on every lookup; the memo makes that O(1)
+  // after the first. Copies start empty (the copy may still be edited).
+  struct HashMemo {
+    mutable std::atomic<uint64_t> value{0};
+    HashMemo() = default;
+    HashMemo(const HashMemo&) {}
+    HashMemo& operator=(const HashMemo&) {
+      value.store(0, std::memory_order_relaxed);
+      return *this;
+    }
+  };
+  HashMemo hash_memo;
 
   uint64_t TotalSize() const;
   // Row-major flattening of a multi-index; no bounds checking.
@@ -271,6 +287,7 @@ Result<uint64_t> CheckedVolume(const std::vector<uint64_t>& dims);
 // never perform I/O. Content-equal values of different provenance may
 // therefore hash differently — for the caches that's only a missed hit,
 // never a wrong answer, since every hash match is confirmed by Compare.
+// An array's hash is memoized in its rep (ArrayRep::hash_memo).
 uint64_t HashValue(const Value& v);
 
 // Approximate heap footprint of a value in bytes: payload buffers plus a

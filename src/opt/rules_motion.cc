@@ -18,6 +18,14 @@
 // All alpha-equal occurrences of S anywhere in the node (body and bounds)
 // share the one binding, so the rule doubles as loop-level common
 // subexpression elimination.
+//
+// One exception keeps §5's index loops intact: a `gen(e)` that is the
+// source of a Sum stays in place (its argument `e` may still move). A Sum
+// over `gen(e)` is a counted loop in both the exec backend and the typed
+// kernels (docs/EXEC.md §3) — hoisting the gen would materialize the
+// index set once and leave the sum ranging over a let-bound variable,
+// which neither the kernels nor the zone-map fold can read as a range.
+// Gens feeding big unions are ordinary candidates.
 
 #include <atomic>
 #include <set>
@@ -32,6 +40,12 @@ namespace {
 
 bool IsLoop(const ExprPtr& e) {
   return e->is(ExprKind::kTab) || e->is(ExprKind::kBigUnion) || e->is(ExprKind::kSum);
+}
+
+// Child `i` of `e` is the `gen(n)` source of a Sum: a counted loop that
+// stays in place (only `n` may be hoisted).
+bool IsSumGen(const Expr& e, size_t i) {
+  return e.is(ExprKind::kSum) && i == 1 && e.child(1)->is(ExprKind::kGen);
 }
 
 bool IsHoistCandidate(const ExprPtr& e, const std::set<std::string>& loop_binders,
@@ -74,6 +88,10 @@ void CollectCandidates(const ExprPtr& e, std::set<std::string>* blocked,
   }
   auto child_binders = ChildBinders(*e);
   for (size_t i = 0; i < e->children().size(); ++i) {
+    if (IsSumGen(*e, i)) {
+      CollectCandidates(e->child(1)->child(0), blocked, aggressive, out);
+      continue;
+    }
     std::vector<std::string> added;
     for (const std::string& b : child_binders[i]) {
       if (blocked->insert(b).second) added.push_back(b);
@@ -84,7 +102,9 @@ void CollectCandidates(const ExprPtr& e, std::set<std::string>* blocked,
 }
 
 // Replaces alpha-equal occurrences of `target` with `replacement`,
-// skipping scopes that rebind a free variable of the target.
+// skipping scopes that rebind a free variable of the target and the gen
+// sources of Sums (a big union's `gen(n)` candidate must not turn a Sum
+// over the same range into a sum over a variable).
 ExprPtr ReplaceAll(const ExprPtr& e, const ExprPtr& target, const ExprPtr& replacement,
                    const std::set<std::string>& target_fv) {
   if (AlphaEqual(e, target)) return replacement;
@@ -94,6 +114,14 @@ ExprPtr ReplaceAll(const ExprPtr& e, const ExprPtr& target, const ExprPtr& repla
   children.reserve(e->children().size());
   bool changed = false;
   for (size_t i = 0; i < e->children().size(); ++i) {
+    if (IsSumGen(*e, i)) {
+      const ExprPtr& gen = e->child(1);
+      ExprPtr n = ReplaceAll(gen->child(0), target, replacement, target_fv);
+      ExprPtr nc = n.get() == gen->child(0).get() ? gen : gen->WithChildren({n});
+      changed |= (nc.get() != gen.get());
+      children.push_back(std::move(nc));
+      continue;
+    }
     bool captured = false;
     for (const std::string& b : child_binders[i]) {
       if (target_fv.count(b)) {

@@ -33,7 +33,6 @@ uint64_t PlanBytes(const CachedPlan& plan) {
   constexpr uint64_t kEntryOverhead = 1024;
   uint64_t b = kEntryOverhead;
   if (plan.resolved) b += ApproxExprBytes(plan.resolved);
-  if (plan.optimized) b += ApproxExprBytes(plan.optimized);
   return b;
 }
 

@@ -8,9 +8,10 @@
 // by HashExpr and confirmed by AlphaEqual, so alpha-variants — e.g. the
 // same comprehension written with different binder names — also share.
 //
-// A cached plan bundles the optimized core term and the exec::Program
-// compiled from it. Programs are immutable and safe to run concurrently,
-// so one entry serves any number of workers at once.
+// A cached plan is the exec::Program compiled from the optimized core
+// term, kept under its resolved key; the optimized term itself is dropped
+// once compiled. Programs are immutable and safe to run concurrently, so
+// one entry serves any number of workers at once.
 //
 // Thread-safe; every operation takes one internal mutex. The expensive
 // parts (hashing, alpha-comparison) touch only immutable expression trees.
@@ -33,8 +34,7 @@ namespace service {
 
 // One compiled plan. Immutable after construction; shared by workers.
 struct CachedPlan {
-  ExprPtr resolved;   // cache key: resolved, pre-optimization core term
-  ExprPtr optimized;  // after the rewrite pipeline
+  ExprPtr resolved;  // cache key: resolved, pre-optimization core term
   std::shared_ptr<const exec::Program> program;  // slot-compiled plan
 };
 
@@ -61,11 +61,11 @@ class PlanCache {
   size_t size() const;
   size_t capacity() const { return capacity_; }
   uint64_t evictions() const;
-  // Approximate heap bytes held by the cached plans (the resolved and
-  // optimized terms via ApproxExprBytes, plus a fixed per-entry overhead
-  // standing in for the compiled program). Reporting only — the
-  // eviction bound stays the entry-count capacity — surfaced as the
-  // `cache.plans.bytes` gauge so both caches report memory honestly.
+  // Approximate heap bytes held by the cached plans (the resolved key via
+  // ApproxExprBytes, plus a fixed per-entry overhead standing in for the
+  // compiled program). Reporting only — the eviction bound stays the
+  // entry-count capacity — surfaced as the `cache.plans.bytes` gauge so
+  // both caches report memory honestly.
   uint64_t bytes() const;
   void Clear();
 

@@ -241,7 +241,7 @@ Result<std::shared_ptr<const CachedPlan>> QueryService::GetPlan(ExprPtr resolved
   AQL_ASSIGN_OR_RETURN(exec::Program program,
                        exec::Compile(optimized, system_->PrimitiveResolver()));
   auto plan = std::make_shared<CachedPlan>(
-      CachedPlan{std::move(resolved), std::move(optimized),
+      CachedPlan{std::move(resolved),
                  std::make_shared<const exec::Program>(std::move(program))});
   if (use_cache) cache_.Insert(plan);
   return std::shared_ptr<const CachedPlan>(std::move(plan));

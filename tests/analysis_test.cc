@@ -159,6 +159,45 @@ TEST(VerifierTest, RegressionBottomConditionPropagation) {
   EXPECT_TRUE(out2->is(ExprKind::kBottom)) << out2->ToString();
 }
 
+TEST(VerifierTest, RealFoldWhoseBodyFoldsToBottomKeepsItsType) {
+  // subscript_const folds the out-of-range `[[2; 1.5, -3.0]][2]` to ⊥ and
+  // bottom_strict then folds the product: the Sum's body becomes a bare ⊥.
+  // Typed alone, `Sum{ ⊥ | k in gen(0) }` gets the numeric default nat;
+  // its principal type still generalizes the real it had, which is all
+  // the type-preservation pass may demand.
+  Optimizer opt;
+  Verifier verifier(NoExternals());
+  ExprPtr real_arr = Expr::Literal(*Value::MakeRealArray({2}, {1.5, -3.0}));
+  ExprPtr body = Expr::Arith(ArithOp::kMul, Expr::Subscript(real_arr, Expr::NatConst(2)),
+                             Expr::Subscript(real_arr, Expr::Var("i")));
+  ExprPtr e = Expr::Tab({"i"}, Expr::Sum("k", body, Expr::Gen(Expr::NatConst(0))),
+                        {Expr::NatConst(2)});
+  VerifierReport report;
+  ExprPtr out = verifier.OptimizeVerified(opt, e, nullptr, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(out->ToString(), "[[ Sum{ bottom | k in gen(0) } | i < 2 ]]");
+}
+
+TEST(VerifierTest, NamesInjectedRealToNatRule) {
+  // The join with pre's type must not hide a real change of type: a rule
+  // that rounds real constants to nats turns [[real]]_1 into [[nat]]_1.
+  Optimizer opt;
+  ASSERT_TRUE(opt.AddRule("normalization",
+                          {"round_real",
+                           [](const ExprPtr& e) -> ExprPtr {
+                             if (!e->is(ExprKind::kRealConst)) return nullptr;
+                             return Expr::NatConst(uint64_t(e->real_const()));
+                           }})
+                  .ok());
+  Verifier verifier(NoExternals());
+  VerifierReport report;
+  ExprPtr e = Expr::Tab({"i"}, Expr::RealConst(2.5), {Expr::NatConst(3)});
+  verifier.OptimizeVerified(opt, e, nullptr, &report);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(ReportNames(report, VerifyPass::kTypePreservation, "round_real"))
+      << report.ToString();
+}
+
 // ---- Injected unsound rules are caught and named ----
 
 TEST(VerifierTest, NamesInjectedTypeUnsoundRule) {

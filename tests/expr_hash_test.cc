@@ -162,6 +162,26 @@ TEST(HashValueTest, StructurallyEqualDistinctRepsHashEqual) {
   EXPECT_EQ(HashValue(Value::Real(0.0)), HashValue(Value::Real(-0.0)));
 }
 
+TEST(HashValueTest, MemoizedArrayHashMatchesAFreshComputation) {
+  // The first HashValue of an array stores the result in its rep; later
+  // calls return it. Equal arrays built separately (each computing from
+  // scratch, boxed or unboxed) and a copied rep (whose memo starts
+  // empty) must hash the same, and a different array must not.
+  std::vector<uint64_t> data(1000);
+  for (uint64_t i = 0; i < data.size(); ++i) data[i] = i * 7 % 13;
+  Value a = *Value::MakeNatArray({10, 100}, data);
+  const uint64_t first = HashValue(a);
+  EXPECT_EQ(a.array().hash_memo.value.load(), first);
+  EXPECT_EQ(HashValue(a), first);
+  std::vector<Value> boxed;
+  for (uint64_t n : data) boxed.push_back(Value::Nat(n));
+  EXPECT_EQ(HashValue(*Value::MakeArray({10, 100}, boxed)), first);
+  ArrayRep copied = a.array();
+  EXPECT_EQ(copied.hash_memo.value.load(), 0u);
+  data[999] += 1;
+  EXPECT_NE(HashValue(*Value::MakeNatArray({10, 100}, data)), first);
+}
+
 TEST(HashValueTest, LiteralExpressionsUseValueHash) {
   Value v = Value::MakeVector({Value::Nat(1), Value::Nat(2)});
   Value w = Value::MakeVector({Value::Nat(1), Value::Nat(2)});

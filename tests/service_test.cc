@@ -10,13 +10,17 @@
 //                        ctest --test-dir build-tsan -L tsan
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/expr.h"
 #include "gtest/gtest.h"
+#include "netcdf/writer.h"
 #include "service/metrics.h"
 #include "service/plan_cache.h"
 #include "service/service.h"
@@ -366,6 +370,116 @@ TEST(ServiceTest, QueriesRunUnderTheSubmittingThreadsExecOptions) {
   Result<Value> r = svc.Execute(query, fresh);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kEvalError) << r.status().ToString();
+}
+
+// ---- fold-bodied tabulations and sums over gen ----
+
+// Does any Sum in `e` range over something other than gen(n), or does a
+// let (Apply of a Lambda) remain — the shape a hoisted gen leaves behind?
+bool SumsKeepTheirGen(const ExprPtr& e) {
+  if (e->is(ExprKind::kSum) && !e->child(1)->is(ExprKind::kGen)) return false;
+  if (e->is(ExprKind::kApply) && e->child(0)->is(ExprKind::kLambda)) return false;
+  for (const ExprPtr& c : e->children()) {
+    if (!SumsKeepTheirGen(c)) return false;
+  }
+  return true;
+}
+
+uint64_t SyncedCounter(QueryService* svc, const std::string& name) {
+  (void)svc->StatsReport();  // pulls the exec/storage counters into metrics
+  return svc->metrics()->CounterValues()[name];
+}
+
+TEST(ServiceFoldTest, MatmulAndConvRunAsFoldKernels) {
+  // The service's plans keep each Sum over gen(n) in place (no cm$ let),
+  // the tabulation runs as one unboxed fold kernel, and the answer is the
+  // tree walker's on the unoptimized term, bit for bit.
+  System sys;
+  std::vector<uint64_t> ma, mb, cv, k;
+  for (uint64_t i = 0; i < 36; ++i) {
+    ma.push_back(i % 7);
+    mb.push_back(i % 5 + 1);
+  }
+  for (uint64_t i = 0; i < 40; ++i) cv.push_back(i * 3 % 11);
+  for (uint64_t i = 0; i < 4; ++i) k.push_back(i + 1);
+  ASSERT_TRUE(sys.DefineVal("MA", *Value::MakeNatArray({6, 6}, ma)).ok());
+  ASSERT_TRUE(sys.DefineVal("MB", *Value::MakeNatArray({6, 6}, mb)).ok());
+  ASSERT_TRUE(sys.DefineVal("CV", *Value::MakeNatArray({40}, cv)).ok());
+  ASSERT_TRUE(sys.DefineVal("K", *Value::MakeNatArray({4}, k)).ok());
+  QueryService svc(&sys, {.num_workers = 1});
+  QueryOptions fresh;
+  fresh.use_result_cache = false;
+  for (const std::string q : {"matmul!(MA, MB)", "conv1!(CV, K)"}) {
+    Result<ExprPtr> plan = sys.Compile(q);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(SumsKeepTheirGen(*plan)) << q << ": " << (*plan)->ToString();
+    EXPECT_EQ((*plan)->ToString().find("cm$"), std::string::npos) << (*plan)->ToString();
+
+    const uint64_t unboxed = SyncedCounter(&svc, "exec.unboxed.arrays");
+    Result<Value> got = svc.Execute(q, fresh);
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    EXPECT_GT(SyncedCounter(&svc, "exec.unboxed.arrays"), unboxed)
+        << q << " did not run as an unboxed kernel";
+    EXPECT_TRUE(got->array().unboxed()) << q;
+
+    Result<ExprPtr> core = sys.CompileUnoptimized(q);
+    ASSERT_TRUE(core.ok());
+    Result<Value> ref = sys.EvalCore(*core);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_TRUE(testing::SameBits(*got, *ref))
+        << q << "\nservice:     " << got->ToString() << "\ntree walker: " << ref->ToString();
+  }
+}
+
+TEST(ServiceFoldTest, TiledAggregateTakesThePrunedFold) {
+  // The tiled-http aggregate text over a tiled readval: with its gens left
+  // in place the service plan is the sum nest the zone-map fold matches,
+  // so a warm run answers the constant tiles from their zone maps.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "aql_service_prune.nc").string();
+  // 64 x 16: rows [0, 48) constant 1.5 (three 16-row tiles under 2 KiB
+  // tiles), rows [48, 64) varied (one tile).
+  std::vector<double> data(64 * 16);
+  for (uint64_t i = 0; i < 64; ++i) {
+    for (uint64_t j = 0; j < 16; ++j) data[i * 16 + j] = i < 48 ? 1.5 : double(i * 1000 + j);
+  }
+  netcdf::NcWriter w(1);
+  const uint32_t r = w.AddDim("row", 64);
+  const uint32_t c = w.AddDim("col", 16);
+  w.AddVar("v", netcdf::NcType::kDouble, {r, c}, std::move(data));
+  ASSERT_TRUE(w.WriteFile(path).ok());
+  testing::ScopedEnv threshold("AQL_TILED_READ_THRESHOLD", "1");
+  testing::ScopedEnv tile("AQL_TILE_BYTES", "2048");
+
+  System sys;
+  auto rd = sys.Run("readval \\CG using NETCDF2 at (\"" + path + "\", \"v\", (0, 0), (63, 15));");
+  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+  ASSERT_EQ(rd->back().value.array().payload, ArrayRep::Payload::kTiled);
+
+  const std::string q =
+      "summap(fn \\k => summap(fn \\l => CG[k, l])!(gen!16))!(gen!64)";
+  auto explain = sys.Explain(q);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("aggregate-prune"), std::string::npos) << *explain;
+
+  QueryService svc(&sys, {.num_workers = 1});
+  QueryOptions fresh;
+  fresh.use_result_cache = false;
+  Result<Value> cold = svc.Execute(q, fresh);  // loads every tile, fills zones
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const uint64_t prunes = SyncedCounter(&svc, "storage.tile.prunes");
+  Result<Value> warm = svc.Execute(q, fresh);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_GT(SyncedCounter(&svc, "storage.tile.prunes"), prunes)
+      << "constant tiles must be answered from zone maps";
+
+  Result<ExprPtr> core = sys.CompileUnoptimized(q);
+  ASSERT_TRUE(core.ok());
+  Result<Value> ref = sys.EvalCore(*core);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_TRUE(testing::SameBits(*cold, *ref)) << cold->ToString() << " vs " << ref->ToString();
+  EXPECT_TRUE(testing::SameBits(*warm, *ref)) << warm->ToString() << " vs " << ref->ToString();
+  std::remove(path.c_str());
 }
 
 // ---- building blocks ----

@@ -23,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "netcdf/reader.h"
 #include "netcdf/writer.h"
+#include "test_util.h"
 
 namespace aql {
 namespace storage {
@@ -32,25 +33,7 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = ::getenv(name);
-    if (old != nullptr) saved_ = old;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+using aql::testing::ScopedEnv;
 
 // The process defaults with subslab/aggregate pushdown switched on or off.
 ExecOptions Pushdown(bool on) {
@@ -427,6 +410,32 @@ TEST(OutOfCore, PlanFactsOverTiledWindowReadNoTiles) {
       << "plan facts must not read tiles";
   EXPECT_NE(lint->find("<array 64 16>"), std::string::npos) << *lint;
   EXPECT_NE(verify->find("<array 64 16>"), std::string::npos) << *verify;
+  std::remove(path.c_str());
+}
+
+TEST(OutOfCore, ExplainOverTiledWindowReadsNoTiles) {
+  // :explain prints the optimized plan. Over a tiled literal the plan
+  // line must show the shape, not render (and so read) every tile.
+  std::string path = TempPath("aql_storage_explain.nc");
+  WriteGrid(path, 64, 16);
+  ScopedEnv thr("AQL_TILED_READ_THRESHOLD", "1");
+  ScopedEnv tb("AQL_TILE_BYTES", "512");  // 4 rows per tile -> 16 tiles
+  TileStore::Global().Clear();
+  System sys;
+  auto rd = sys.Run("readval \\S using NETCDF2 at (\"" + path +
+                    "\", \"v\", (0, 0), (63, 15));");
+  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+  ASSERT_EQ(rd->back().value.array().payload, ArrayRep::Payload::kTiled);
+
+  const TileStoreStats before = TileStore::Global().stats();
+  auto explain = sys.Explain("[[ S[i + 8, j + 4] | \\i < 4, \\j < 4 ]]");
+  const TileStoreStats after = TileStore::Global().stats();
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses)
+      << ":explain must not read tiles";
+  EXPECT_NE(explain->find("plan            : [[ <array 64 16>[(i + 8, j + 4)]"),
+            std::string::npos)
+      << *explain;
   std::remove(path.c_str());
 }
 

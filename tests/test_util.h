@@ -6,6 +6,10 @@
 #define AQL_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -15,6 +19,11 @@
 #include "object/value.h"
 
 namespace aql {
+
+// gtest finds this by argument-dependent lookup, so a failing EXPECT_EQ on
+// two Values prints their ToString() instead of raw object bytes.
+inline void PrintTo(const Value& v, std::ostream* os) { *os << v.ToString(); }
+
 namespace testing {
 
 // Deterministic pseudo-random complex-object generator. `depth` bounds
@@ -63,6 +72,73 @@ class ValueGen {
  private:
   std::mt19937_64 rng_;
 };
+
+// Sets an environment variable for the current scope (the storage knobs,
+// AQL_TILE_* and AQL_TILED_READ_THRESHOLD, are read at each OpenSlab).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    if (const char* old = ::getenv(name)) saved_ = old;
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+// Bit-for-bit equality: same kinds all the way down, reals compared by
+// their bit patterns (so -0.0 differs from 0.0, and NaNs must match
+// exactly), arrays by dims and elements whatever their payload. Stricter
+// than Value::operator==, whose total order makes NaN equal to every
+// real.
+inline bool SameBits(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  switch (a.kind()) {
+    case ValueKind::kReal: {
+      const double x = a.real_value(), y = b.real_value();
+      return std::memcmp(&x, &y, sizeof x) == 0;
+    }
+    case ValueKind::kTuple: {
+      const auto& fa = a.tuple_fields();
+      const auto& fb = b.tuple_fields();
+      if (fa.size() != fb.size()) return false;
+      for (size_t i = 0; i < fa.size(); ++i) {
+        if (!SameBits(fa[i], fb[i])) return false;
+      }
+      return true;
+    }
+    case ValueKind::kSet: {
+      const auto& ea = a.set().elems;
+      const auto& eb = b.set().elems;
+      if (ea.size() != eb.size()) return false;
+      for (size_t i = 0; i < ea.size(); ++i) {
+        if (!SameBits(ea[i], eb[i])) return false;
+      }
+      return true;
+    }
+    case ValueKind::kArray: {
+      const ArrayRep& ra = a.array();
+      const ArrayRep& rb = b.array();
+      if (ra.dims != rb.dims) return false;
+      for (uint64_t i = 0; i < ra.TotalSize(); ++i) {
+        if (!SameBits(ra.At(i), rb.At(i))) return false;
+      }
+      return true;
+    }
+    default:
+      return a == b;
+  }
+}
 
 // Evaluates a single expression in a fresh default System, failing the
 // test on any pipeline error.
