@@ -9,6 +9,8 @@
 //   HistSweepM/m      — n fixed at 1024, m grows: hist degrades linearly
 //                       in m, hist' only pays the m-sized output array
 //   HistFastSweepM/m
+//   CompiledHistFastSweepN/n — HistFastSweepN through the compiled backend
+//                       (one exec thread); the others run the tree walker
 // The paper's crossover: hist' wins by ~m/log n for large m.
 
 #include "bench_util.h"
@@ -34,6 +36,16 @@ void BM_HistFastSweepN(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_HistFastSweepN)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+// hist_fast through the compiled backend: index_1 buckets the (H[i], i)
+// pairs its comprehension streams instead of sorting the pair set.
+void BM_CompiledHistFastSweepN(benchmark::State& state) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("H", NatVector(RandomNats(state.range(0), 64)));
+  TimeCompiled(sys, state, "hist_fast!H");
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_CompiledHistFastSweepN)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
 
 void BM_HistSweepM(benchmark::State& state) {
   System* sys = SharedSystem();

@@ -6,6 +6,11 @@
 //   NestedLoopGroupBy/n — the nest-style NRC grouping : O(n^2)
 //   IndexSweepM/m       — cost of hole filling as the key range grows at
 //                         fixed n (the "m" term of the paper's bound)
+// all through the tree walker (EvalCore), and the Compiled* series: the
+// same group-bys and group-then-count forms through the compiled backend
+// (exec::Compile + Program::Run, one exec thread), where nest's inner
+// filter answers its probes from a key index and index_k buckets its
+// streamed pairs (docs/EXEC.md §7).
 
 #include "bench_util.h"
 
@@ -71,6 +76,29 @@ void BM_NestThenCount(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_NestThenCount)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+void RunCompiled(benchmark::State& state, const std::string& q) {
+  System* sys = SharedSystem();
+  (void)sys->DefineVal("P", PairSet(state.range(0), 64));
+  TimeCompiled(sys, state, q);
+  state.SetComplexityN(state.range(0));
+}
+
+void BM_CompiledIndexGroupBy(benchmark::State& state) { RunCompiled(state, "index!P"); }
+BENCHMARK(BM_CompiledIndexGroupBy)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+void BM_CompiledNestGroupBy(benchmark::State& state) { RunCompiled(state, "nest!P"); }
+BENCHMARK(BM_CompiledNestGroupBy)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+void BM_CompiledIndexThenCount(benchmark::State& state) {
+  RunCompiled(state, "maparr!(fn \\b => card!b, index!P)");
+}
+BENCHMARK(BM_CompiledIndexThenCount)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
+
+void BM_CompiledNestThenCount(benchmark::State& state) {
+  RunCompiled(state, "{ (k, card!vs) | (\\k, \\vs) <- nest!P }");
+}
+BENCHMARK(BM_CompiledNestThenCount)->RangeMultiplier(2)->Range(128, 4096)->Complexity();
 
 }  // namespace
 }  // namespace bench

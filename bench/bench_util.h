@@ -13,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "base/cancel.h"
 #include "benchmark/benchmark.h"
 #include "env/system.h"
+#include "exec/compiled.h"
 
 namespace aql {
 namespace bench {
@@ -91,6 +93,30 @@ inline Value MustEval(System* sys, benchmark::State& state, const ExprPtr& compi
     return Value::Bottom();
   }
   return std::move(r).value();
+}
+
+// Compiles `q` once (optimizer, then exec::Compile) and times
+// Program::Run on one exec thread, so a series measures the compiled
+// backend's algorithm rather than the pool.
+inline void TimeCompiled(System* sys, benchmark::State& state, const std::string& q) {
+  ExprPtr plan = MustCompile(sys, state, q);
+  if (plan == nullptr) return;
+  Result<exec::Program> program = exec::Compile(plan, sys->PrimitiveResolver());
+  if (!program.ok()) {
+    state.SkipWithError(program.status().ToString().c_str());
+    return;
+  }
+  ExecOptions options = DefaultExecOptions();
+  options.threads = 1;
+  ExecScope scope(nullptr, options);
+  for (auto _ : state) {
+    Result<Value> r = program->Run();
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(r);
+  }
 }
 
 }  // namespace bench

@@ -342,6 +342,7 @@ Result<Value> Evaluator::EvalIndex(const Expr& e, const Environment& env) const 
   std::vector<uint64_t> dims(k, 0);
   std::vector<std::pair<std::vector<uint64_t>, const Value*>> entries;
   entries.reserve(src.set().elems.size());
+  bool overflow = false;
   for (const Value& pair : src.set().elems) {
     if (pair.kind() != ValueKind::kTuple || pair.tuple_fields().size() != 2) {
       return Status::EvalError("index expects a set of (key, value) pairs");
@@ -358,26 +359,33 @@ Result<Value> Evaluator::EvalIndex(const Expr& e, const Environment& env) const 
         return Status::EvalError(StrCat("index_", k, " key has wrong shape"));
       }
     }
-    for (size_t j = 0; j < k; ++j) dims[j] = std::max(dims[j], idx[j] + 1);
+    for (size_t j = 0; j < k; ++j) {
+      overflow = overflow || idx[j] == UINT64_MAX;
+      dims[j] = std::max(dims[j], idx[j] + 1);
+    }
     entries.emplace_back(std::move(idx), &pair.tuple_fields()[1]);
   }
+  if (overflow) return Status::EvalError("index key overflows the element count");
+  AQL_ASSIGN_OR_RETURN(uint64_t total, CheckedVolume(dims));
 
-  uint64_t total = 1;
-  for (uint64_t d : dims) total *= d;
   // Fill the holes with {} and group duplicate keys into sets (§2: the
   // result type is [[{t}]]_k precisely to absorb holes and collisions).
-  std::vector<std::vector<Value>> buckets(total);
+  // Pairs sort key-first and keys sort in row-major order, so each bucket
+  // is a run of consecutive entries, already sorted and unique. The holes
+  // are filled one by one (cancellable), never allocated up front.
   ArrayRep shape;
   shape.dims = dims;
-  for (auto& [idx, value] : entries) {
-    buckets[shape.Flatten(idx)].push_back(*value);
-  }
   std::vector<Value> elems;
-  elems.reserve(total);
-  for (auto& bucket : buckets) {
-    // Source elements arrive sorted, and tuples sort key-first, so each
-    // bucket is already sorted and unique; keep the canonical invariant.
-    elems.push_back(Value::MakeSetCanonical(std::move(bucket)));
+  elems.reserve(std::min<uint64_t>(total, uint64_t{1} << 20));
+  const Value empty = Value::EmptySet();
+  size_t next = 0;
+  for (uint64_t flat = 0; flat < total; ++flat) {
+    if ((flat & 0x3FF) == 0) AQL_RETURN_IF_ERROR(CheckInterrupt());
+    std::vector<Value> bucket;
+    for (; next < entries.size() && shape.Flatten(entries[next].first) == flat; ++next) {
+      bucket.push_back(*entries[next].second);
+    }
+    elems.push_back(bucket.empty() ? empty : Value::MakeSetCanonical(std::move(bucket)));
   }
   auto arr = Value::MakeArray(std::move(dims), std::move(elems));
   if (!arr.ok()) return Status::Internal(arr.status().message());

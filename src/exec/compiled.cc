@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 
 #include "analysis/affine.h"
@@ -51,6 +52,15 @@ class ConstNode : public Node {
  public:
   explicit ConstNode(Value v) : value_(std::move(v)) {}
   Result<Value> Run(Frame*) const override { return value_; }
+  // `{}` (and a set literal) streams without copying the value.
+  Status Emit(Frame*, std::vector<Value>* out, bool* bottom) const override {
+    if (value_.is_bottom()) {
+      *bottom = true;
+    } else {
+      out->insert(out->end(), value_.set().elems.begin(), value_.set().elems.end());
+    }
+    return Status::OK();
+  }
 
  private:
   Value value_;
@@ -66,15 +76,20 @@ class SlotNode : public Node {
 };
 
 // Closure: captured values + code compiled against a fresh frame laid out
-// as [captures..., param, scratch...].
+// as [captures..., param, scratch...], with its own filter memos.
 class CompiledClosure : public FuncValue {
  public:
-  CompiledClosure(std::vector<Value> captured, const Node* body, size_t frame_size)
-      : captured_(std::move(captured)), body_(body), frame_size_(frame_size) {}
+  CompiledClosure(std::vector<Value> captured, const Node* body, size_t frame_size,
+                  size_t memo_count)
+      : captured_(std::move(captured)),
+        body_(body),
+        frame_size_(frame_size),
+        memo_count_(memo_count) {}
 
   Result<Value> Apply(const Value& arg) const override {
     Frame frame;
     frame.slots.resize(frame_size_);
+    frame.memos.resize(memo_count_);
     std::copy(captured_.begin(), captured_.end(), frame.slots.begin());
     frame.slots[captured_.size()] = arg;
     return body_->Run(&frame);
@@ -86,29 +101,33 @@ class CompiledClosure : public FuncValue {
   std::vector<Value> captured_;
   const Node* body_;
   size_t frame_size_;
+  size_t memo_count_;
 };
 
 // Creates a closure, capturing the listed slots of the current frame.
 // Owns the compiled body (shared among all closures it creates).
 class LambdaNode : public Node {
  public:
-  LambdaNode(std::vector<size_t> capture_slots, NodePtr body, size_t frame_size)
+  LambdaNode(std::vector<size_t> capture_slots, NodePtr body, size_t frame_size,
+             size_t memo_count)
       : capture_slots_(std::move(capture_slots)),
         body_(std::move(body)),
-        frame_size_(frame_size) {}
+        frame_size_(frame_size),
+        memo_count_(memo_count) {}
 
   Result<Value> Run(Frame* f) const override {
     std::vector<Value> captured;
     captured.reserve(capture_slots_.size());
     for (size_t s : capture_slots_) captured.push_back(f->slots[s]);
-    return Value::MakeFunc(std::make_shared<CompiledClosure>(std::move(captured),
-                                                             body_.get(), frame_size_));
+    return Value::MakeFunc(std::make_shared<CompiledClosure>(
+        std::move(captured), body_.get(), frame_size_, memo_count_));
   }
 
  private:
   std::vector<size_t> capture_slots_;
   NodePtr body_;
   size_t frame_size_;
+  size_t memo_count_;
 };
 
 class ApplyNode : public Node {
@@ -173,6 +192,15 @@ class SingletonNode : public Node {
     if (v.is_bottom()) return Value::Bottom();
     return Value::MakeSetCanonical({std::move(v)});
   }
+  Status Emit(Frame* f, std::vector<Value>* out, bool* bottom) const override {
+    AQL_ASSIGN_OR_RETURN(Value v, inner_->Run(f));
+    if (v.is_bottom()) {
+      *bottom = true;
+    } else {
+      out->push_back(std::move(v));
+    }
+    return Status::OK();
+  }
 
  private:
   NodePtr inner_;
@@ -187,6 +215,11 @@ class UnionNode : public Node {
     AQL_ASSIGN_OR_RETURN(Value b, b_->Run(f));
     if (b.is_bottom()) return Value::Bottom();
     return Value::SetUnion(a, b);
+  }
+  Status Emit(Frame* f, std::vector<Value>* out, bool* bottom) const override {
+    AQL_RETURN_IF_ERROR(a_->Emit(f, out, bottom));
+    if (*bottom) return Status::OK();
+    return b_->Emit(f, out, bottom);
   }
 
  private:
@@ -250,15 +283,75 @@ Result<LoopParts> EvalBodyParallel(const Frame& f, size_t binder_slot, const Nod
   return lp;
 }
 
+// The indexed equality filter: a big union whose body is
+// `if K = P then T else {}` (either orientation), K free in the binder
+// alone and P free of it — nest's inner loop, an equi-join's probe side.
+// The pointers reach into the union's own body nodes.
+struct EquiFilter {
+  const Node* key;
+  const Node* probe;
+  const Node* then_branch;
+  bool closed;  // T is free in the binder alone (nest's {pi2 b})
+  size_t memo;  // this node's FilterMemo in the frame
+};
+
+}  // namespace
+
+// K of every element of one source set, stable-sorted by Value::Compare:
+// keys[j] came from source position pos[j], so the elements of one equal
+// run stay in set order.
+struct KeyIndex {
+  std::vector<Value> keys;
+  std::vector<uint64_t> pos;
+};
+
+namespace {
+
 class BigUnionNode : public Node {
  public:
-  BigUnionNode(size_t binder_slot, NodePtr body, NodePtr source)
-      : binder_slot_(binder_slot), body_(std::move(body)), source_(std::move(source)) {}
+  BigUnionNode(size_t binder_slot, NodePtr body, NodePtr source,
+               std::optional<EquiFilter> filter)
+      : binder_slot_(binder_slot),
+        body_(std::move(body)),
+        source_(std::move(source)),
+        filter_(filter) {}
+
+  // The whole nest streams into one vector, canonicalized once.
   Result<Value> Run(Frame* f) const override {
     AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
     if (src.is_bottom()) return Value::Bottom();
-    const std::vector<Value>& xs = src.set().elems;
+    AQL_ASSIGN_OR_RETURN(const KeyIndex* index, IndexFor(f, src));
+    if (index != nullptr && filter_->closed) return Group(f, src.set().elems, *index);
     std::vector<Value> acc;
+    bool bottom = false;
+    AQL_RETURN_IF_ERROR(EmitFrom(f, src.set().elems, index, &acc, &bottom));
+    if (bottom) return Value::Bottom();
+    return Value::MakeSet(std::move(acc));
+  }
+
+  Status Emit(Frame* f, std::vector<Value>* out, bool* bottom) const override {
+    AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
+    if (src.is_bottom()) {
+      *bottom = true;
+      return Status::OK();
+    }
+    AQL_ASSIGN_OR_RETURN(const KeyIndex* index, IndexFor(f, src));
+    return EmitFrom(f, src.set().elems, index, out, bottom);
+  }
+
+ private:
+  using Range = std::pair<uint64_t, uint64_t>;  // [lo, hi) in a KeyIndex
+
+  Status EmitFrom(Frame* f, const std::vector<Value>& xs, const KeyIndex* index,
+                  std::vector<Value>* out, bool* bottom) const {
+    if (index != nullptr) {
+      AQL_ASSIGN_OR_RETURN(std::optional<Range> run, Match(f, *index));
+      if (!run) {
+        *bottom = true;
+        return Status::OK();
+      }
+      return EmitRun(f, xs, *index, *run, out, bottom);
+    }
     if (ShouldParallelize(xs.size())) {
       AQL_ASSIGN_OR_RETURN(
           LoopParts lp,
@@ -266,28 +359,112 @@ class BigUnionNode : public Node {
                            [&xs](uint64_t i) -> const Value& { return xs[i]; }));
       for (uint64_t i = 0; i < xs.size(); ++i) {
         if (i == lp.terminal) {
-          if (lp.terminal_is_bottom) return Value::Bottom();
+          *bottom = lp.terminal_is_bottom;
           return lp.terminal_status;
         }
         const auto& elems = lp.parts[i].set().elems;
-        acc.insert(acc.end(), elems.begin(), elems.end());
+        out->insert(out->end(), elems.begin(), elems.end());
       }
-      return Value::MakeSet(std::move(acc));
+      return Status::OK();
     }
     for (const Value& x : xs) {
       AQL_RETURN_IF_ERROR(CheckInterrupt());
       f->slots[binder_slot_] = x;
-      AQL_ASSIGN_OR_RETURN(Value part, body_->Run(f));
-      if (part.is_bottom()) return Value::Bottom();
-      const auto& elems = part.set().elems;
-      acc.insert(acc.end(), elems.begin(), elems.end());
+      AQL_RETURN_IF_ERROR(body_->Emit(f, out, bottom));
+      if (*bottom) return Status::OK();
     }
-    return Value::MakeSet(std::move(acc));
+    return Status::OK();
   }
 
- private:
+  // The filter's key index over `src` in this frame. nullptr means scan:
+  // no filter, an empty source (whose scan never evaluates P), the first
+  // sight of a source set, or some key ⊥ or an error. The second sight of
+  // the same set builds the index.
+  Result<const KeyIndex*> IndexFor(Frame* f, const Value& src) const {
+    if (!filter_ || src.set().elems.empty()) return nullptr;
+    FilterMemo& memo = f->memos[filter_->memo];
+    if (memo.source.kind() != ValueKind::kSet || &memo.source.set() != &src.set()) {
+      memo = FilterMemo{src, nullptr, false, {}};
+      return nullptr;
+    }
+    if (memo.index == nullptr && !memo.unusable) {
+      AQL_ASSIGN_OR_RETURN(memo.index, BuildIndex(f, src.set().elems));
+      memo.unusable = memo.index == nullptr;
+    }
+    return memo.index.get();
+  }
+
+  // nullptr when some key is ⊥ or an error: the scan then meets it in set
+  // order and answers exactly as it always did.
+  Result<std::shared_ptr<const KeyIndex>> BuildIndex(Frame* f,
+                                                     const std::vector<Value>& xs) const {
+    std::vector<Value> keys;
+    keys.reserve(xs.size());
+    for (uint64_t i = 0; i < xs.size(); ++i) {
+      if ((i & 0x3FF) == 0) AQL_RETURN_IF_ERROR(CheckInterrupt());
+      f->slots[binder_slot_] = xs[i];
+      Result<Value> k = filter_->key->Run(f);
+      if (!k.ok() || k->is_bottom()) return std::shared_ptr<const KeyIndex>();
+      keys.push_back(std::move(k).value());
+    }
+    auto index = std::make_shared<KeyIndex>();
+    index->pos.resize(xs.size());
+    std::iota(index->pos.begin(), index->pos.end(), uint64_t{0});
+    std::stable_sort(index->pos.begin(), index->pos.end(), [&keys](uint64_t a, uint64_t b) {
+      return Value::Compare(keys[a], keys[b]) < 0;
+    });
+    index->keys.reserve(xs.size());
+    for (uint64_t p : index->pos) index->keys.push_back(std::move(keys[p]));
+    return std::shared_ptr<const KeyIndex>(std::move(index));
+  }
+
+  // P once, then the run of keys equal to it; nullopt when P is ⊥. Every
+  // key is known defined, so the scan's first ⊥ or error would have been
+  // P's or one of the run's T's: the same answer.
+  Result<std::optional<Range>> Match(Frame* f, const KeyIndex& index) const {
+    AQL_ASSIGN_OR_RETURN(Value p, filter_->probe->Run(f));
+    if (p.is_bottom()) return std::optional<Range>();
+    GlobalExecStats().filter_indexed.fetch_add(1, std::memory_order_relaxed);
+    auto [lo, hi] = std::equal_range(
+        index.keys.begin(), index.keys.end(), p,
+        [](const Value& a, const Value& b) { return Value::Compare(a, b) < 0; });
+    return std::optional<Range>(
+        Range(lo - index.keys.begin(), hi - index.keys.begin()));
+  }
+
+  // T on a run's elements, in set order: those the scan's `if` takes.
+  Status EmitRun(Frame* f, const std::vector<Value>& xs, const KeyIndex& index, Range run,
+                 std::vector<Value>* out, bool* bottom) const {
+    for (uint64_t j = run.first; j < run.second; ++j) {
+      AQL_RETURN_IF_ERROR(CheckInterrupt());
+      f->slots[binder_slot_] = xs[index.pos[j]];
+      AQL_RETURN_IF_ERROR(filter_->then_branch->Emit(f, out, bottom));
+      if (*bottom) return Status::OK();
+    }
+    return Status::OK();
+  }
+
+  // With a closed T, every probe that lands on one run gives the same set:
+  // it is built at the run's first probe and shared after that, so nest's
+  // n probes build each group once.
+  Result<Value> Group(Frame* f, const std::vector<Value>& xs, const KeyIndex& index) const {
+    AQL_ASSIGN_OR_RETURN(std::optional<Range> run, Match(f, index));
+    if (!run) return Value::Bottom();
+    if (run->first == run->second) return Value::EmptySet();
+    std::vector<Value>& groups = f->memos[filter_->memo].groups;
+    if (groups.empty()) groups.resize(xs.size());
+    if (!groups[run->first].is_bottom()) return groups[run->first];
+    std::vector<Value> acc;
+    bool bottom = false;
+    AQL_RETURN_IF_ERROR(EmitRun(f, xs, index, *run, &acc, &bottom));
+    if (bottom) return Value::Bottom();
+    groups[run->first] = Value::MakeSet(std::move(acc));
+    return groups[run->first];
+  }
+
   size_t binder_slot_;
   NodePtr body_, source_;
+  std::optional<EquiFilter> filter_;
 };
 
 class GetNode : public Node {
@@ -312,6 +489,14 @@ class IfNode : public Node {
     AQL_ASSIGN_OR_RETURN(Value c, cond_->Run(f));
     if (c.is_bottom()) return Value::Bottom();
     return (c.bool_value() ? then_ : else_)->Run(f);
+  }
+  Status Emit(Frame* f, std::vector<Value>* out, bool* bottom) const override {
+    AQL_ASSIGN_OR_RETURN(Value c, cond_->Run(f));
+    if (c.is_bottom()) {
+      *bottom = true;
+      return Status::OK();
+    }
+    return (c.bool_value() ? then_ : else_)->Emit(f, out, bottom);
   }
 
  private:
@@ -723,6 +908,7 @@ class TabNode : public Node {
         if (kernel->unchecked() && CurrentExecOptions().unchecked) {
           AQL_ASSIGN_OR_RETURN(Value arr, RunKernelUnchecked(*kernel, dims, total));
           GlobalExecStats().unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
+          GlobalExecStats().kernels.fetch_add(1, std::memory_order_relaxed);
           GlobalExecStats().unchecked_kernels.fetch_add(1, std::memory_order_relaxed);
           return arr;
         }
@@ -730,6 +916,7 @@ class TabNode : public Node {
         AQL_ASSIGN_OR_RETURN(Value arr, RunKernel(*kernel, dims, total, &bottom_seen));
         if (!bottom_seen) {
           GlobalExecStats().unboxed_arrays.fetch_add(1, std::memory_order_relaxed);
+          GlobalExecStats().kernels.fetch_add(1, std::memory_order_relaxed);
           return arr;
         }
       }
@@ -986,11 +1173,15 @@ class SubscriptNode : public Node {
     }
     AQL_ASSIGN_OR_RETURN(Value idx, idx_->Run(f));
     if (idx.is_bottom()) return Value::Bottom();
+    const ArrayRep& a = arr.array();
+    if (idx.kind() == ValueKind::kNat) {  // rank 1, without an index vector
+      if (a.dims.size() != 1 || idx.nat_value() >= a.dims[0]) return Value::Bottom();
+      return a.At(idx.nat_value());
+    }
     std::vector<uint64_t> index;
     if (!ExtractIndexValue(idx, &index)) {
       return Status::EvalError("array index is not a nat or tuple of nats");
     }
-    const ArrayRep& a = arr.array();
     if (!a.InBounds(index)) return Value::Bottom();
     return a.At(a.Flatten(index));
   }
@@ -1020,47 +1211,90 @@ class DimNode : public Node {
   NodePtr arr_;
 };
 
+// index_k, §2's implicit group-by. The source streams its (key, value)
+// pairs (Node::Emit); they are bucketed by flat key and each bucket is
+// canonicalized on its own, so the pair set is never built and sorted as
+// a whole. The result's extents go through the overflow and element-cap
+// check, and its {} holes are filled incrementally (cancellable), as in a
+// tabulation's sequential loop. A malformed pair sends the emitted pairs
+// through the canonical validation loop instead, so the error, and which
+// one comes first, is the same as over the canonical set.
 class IndexNode : public Node {
  public:
   IndexNode(size_t rank, NodePtr source) : rank_(rank), source_(std::move(source)) {}
   Result<Value> Run(Frame* f) const override {
-    AQL_ASSIGN_OR_RETURN(Value src, source_->Run(f));
-    if (src.is_bottom()) return Value::Bottom();
-    std::vector<uint64_t> dims(rank_, 0);
-    std::vector<std::pair<std::vector<uint64_t>, const Value*>> entries;
-    entries.reserve(src.set().elems.size());
-    for (const Value& pair : src.set().elems) {
-      if (pair.kind() != ValueKind::kTuple || pair.tuple_fields().size() != 2) {
-        return Status::EvalError("index expects (key, value) pairs");
+    std::vector<Value> pairs;
+    bool bottom = false;
+    AQL_RETURN_IF_ERROR(source_->Emit(f, &pairs, &bottom));
+    if (bottom) return Value::Bottom();
+    std::vector<uint64_t> dims(rank_, 0), idx;
+    std::vector<uint64_t> coords;  // rank_ per pair
+    coords.reserve(pairs.size() * rank_);
+    bool overflow = false;
+    for (const Value& pair : pairs) {
+      if (!KeyOf(pair, &idx).ok()) return FirstMalformed(std::move(pairs));
+      for (size_t j = 0; j < rank_; ++j) {
+        overflow = overflow || idx[j] == UINT64_MAX;
+        dims[j] = std::max(dims[j], idx[j] + 1);
       }
-      const Value& key = pair.tuple_fields()[0];
-      std::vector<uint64_t> idx;
-      if (rank_ == 1) {
-        if (key.kind() != ValueKind::kNat) return Status::EvalError("bad index key");
-        idx.push_back(key.nat_value());
-      } else if (!ExtractIndexValue(key, &idx) || idx.size() != rank_) {
-        return Status::EvalError("bad index key shape");
-      }
-      for (size_t j = 0; j < rank_; ++j) dims[j] = std::max(dims[j], idx[j] + 1);
-      entries.emplace_back(std::move(idx), &pair.tuple_fields()[1]);
+      coords.insert(coords.end(), idx.begin(), idx.end());
     }
-    uint64_t total = 1;
-    for (uint64_t d : dims) total *= d;
-    std::vector<std::vector<Value>> buckets(total);
-    ArrayRep shape;
-    shape.dims = dims;
-    for (auto& [idx, value] : entries) buckets[shape.Flatten(idx)].push_back(*value);
+    if (overflow) return Status::EvalError("index key overflows the element count");
+    AQL_ASSIGN_OR_RETURN(uint64_t total, CheckedVolume(dims));
+
+    // (flat key, emission position), sorted: each bucket is one run, in
+    // emission order, so MakeSet keeps the first of equal values.
+    std::vector<std::pair<uint64_t, uint64_t>> order(pairs.size());
+    for (uint64_t i = 0; i < pairs.size(); ++i) {
+      uint64_t flat = 0;
+      for (size_t j = 0; j < rank_; ++j) flat = flat * dims[j] + coords[i * rank_ + j];
+      order[i] = {flat, i};
+    }
+    std::sort(order.begin(), order.end());
     std::vector<Value> elems;
-    elems.reserve(total);
-    for (auto& bucket : buckets) {
-      elems.push_back(Value::MakeSetCanonical(std::move(bucket)));
+    elems.reserve(std::min<uint64_t>(total, uint64_t{1} << 20));
+    const Value empty = Value::EmptySet();
+    size_t next = 0;
+    for (uint64_t flat = 0; flat < total; ++flat) {
+      if ((flat & 0x3FF) == 0) AQL_RETURN_IF_ERROR(CheckInterrupt());
+      if (next == order.size() || order[next].first != flat) {
+        elems.push_back(empty);
+        continue;
+      }
+      std::vector<Value> bucket;
+      for (; next < order.size() && order[next].first == flat; ++next) {
+        bucket.push_back(pairs[order[next].second].tuple_fields()[1]);
+      }
+      elems.push_back(Value::MakeSet(std::move(bucket)));
     }
     auto arr = Value::MakeArray(std::move(dims), std::move(elems));
     if (!arr.ok()) return Status::Internal(arr.status().message());
+    GlobalExecStats().index_streamed.fetch_add(1, std::memory_order_relaxed);
     return std::move(arr).value();
   }
 
  private:
+  Status KeyOf(const Value& pair, std::vector<uint64_t>* idx) const {
+    if (pair.kind() != ValueKind::kTuple || pair.tuple_fields().size() != 2) {
+      return Status::EvalError("index expects (key, value) pairs");
+    }
+    const Value& key = pair.tuple_fields()[0];
+    if (rank_ == 1) {
+      if (key.kind() != ValueKind::kNat) return Status::EvalError("bad index key");
+      idx->assign(1, key.nat_value());
+    } else if (!ExtractIndexValue(key, idx) || idx->size() != rank_) {
+      return Status::EvalError("bad index key shape");
+    }
+    return Status::OK();
+  }
+
+  Status FirstMalformed(std::vector<Value> pairs) const {
+    const Value set = Value::MakeSet(std::move(pairs));
+    std::vector<uint64_t> idx;
+    for (const Value& pair : set.set().elems) AQL_RETURN_IF_ERROR(KeyOf(pair, &idx));
+    return Status::Internal("index: no malformed pair after canonicalizing");
+  }
+
   size_t rank_;
   NodePtr source_;
 };
@@ -1128,7 +1362,7 @@ class Compiler {
     scope_ = params;
     high_water_ = params.size();
     AQL_ASSIGN_OR_RETURN(NodePtr root, CompileNode(e));
-    return Program(std::move(root), high_water_, std::move(proof_));
+    return Program(std::move(root), high_water_, memo_count_, std::move(proof_));
   }
 
  private:
@@ -1226,10 +1460,12 @@ class Compiler {
       case ExprKind::kBigUnion: {
         AQL_ASSIGN_OR_RETURN(NodePtr src, CompileNode(e->child(1)));
         size_t slot = Push(e->binder());
-        auto body = CompileNode(e->child(0));
+        std::optional<EquiFilter> filter;
+        auto body = CompileUnionBody(e, &filter);
         Pop();
         AQL_RETURN_IF_ERROR(body.status());
-        return NodePtr(new BigUnionNode(slot, std::move(body).value(), std::move(src)));
+        return NodePtr(
+            new BigUnionNode(slot, std::move(body).value(), std::move(src), filter));
       }
       case ExprKind::kGet: {
         AQL_ASSIGN_OR_RETURN(NodePtr inner, CompileNode(e->child(0)));
@@ -1342,6 +1578,43 @@ class Compiler {
     return Status::Internal("unknown expression kind in compiler");
   }
 
+  // A big union's body, matched against `if K = P then T else {}` in
+  // either orientation, with FreeVars(K) = {binder} and the binder not
+  // free in P: then the body is built from K, P and T's nodes and
+  // `filter` points at them (BigUnionNode's indexed equality filter).
+  Result<NodePtr> CompileUnionBody(const ExprPtr& u, std::optional<EquiFilter>* filter) {
+    const ExprPtr& body = u->child(0);
+    if (!body->is(ExprKind::kIf) || !body->child(2)->is(ExprKind::kEmptySet) ||
+        !body->child(0)->is(ExprKind::kCmp) || body->child(0)->cmp_op() != CmpOp::kEq) {
+      return CompileNode(body);
+    }
+    const ExprPtr& lhs = body->child(0)->child(0);
+    const ExprPtr& rhs = body->child(0)->child(1);
+    auto keyed = [&u](const ExprPtr& k, const ExprPtr& p) {
+      const std::set<std::string> fk = FreeVars(k);
+      return fk.size() == 1 && *fk.begin() == u->binder() && !FreeVars(p).count(u->binder());
+    };
+    const bool key_left = keyed(lhs, rhs);
+    if (!key_left && !keyed(rhs, lhs)) return CompileNode(body);
+    AQL_ASSIGN_OR_RETURN(NodePtr a, CompileNode(lhs));
+    AQL_ASSIGN_OR_RETURN(NodePtr b, CompileNode(rhs));
+    AQL_ASSIGN_OR_RETURN(NodePtr t, CompileNode(body->child(1)));
+    const ExprPtr& key = key_left ? lhs : rhs;
+    const ExprPtr& probe = key_left ? rhs : lhs;
+    const std::set<std::string> ft = FreeVars(body->child(1));
+    const bool closed = ft.empty() || (ft.size() == 1 && *ft.begin() == u->binder());
+    *filter = EquiFilter{key_left ? a.get() : b.get(), key_left ? b.get() : a.get(), t.get(),
+                         closed, memo_count_++};
+    proof_.Add("indexed-filter",
+               StrCat("U{ if ... then ... else {} | ", u->binder(), " in ",
+                      analysis::RenderArrayExpr(u->child(1)), " }"),
+               {StrCat("key ", key->ToPlanString(), ": free in ", u->binder(), " alone"),
+                StrCat("probe ", probe->ToPlanString(), ": ", u->binder(), " not free")});
+    NodePtr cond(new CmpNode(CmpOp::kEq, std::move(a), std::move(b)));
+    return NodePtr(new IfNode(std::move(cond), std::move(t),
+                              NodePtr(new ConstNode(Value::EmptySet()))));
+  }
+
   // Lambdas compile against a fresh frame [captures..., param, scratch].
   Result<NodePtr> CompileLambda(const ExprPtr& e) {
     std::set<std::string> fv = FreeVars(e);
@@ -1363,22 +1636,34 @@ class Compiler {
     for (analysis::ProofEntry& pe : inner.proof_.entries) {
       proof_.entries.push_back(std::move(pe));
     }
-    return NodePtr(
-        new LambdaNode(std::move(capture_slots), std::move(body), inner.high_water_));
+    return NodePtr(new LambdaNode(std::move(capture_slots), std::move(body),
+                                  inner.high_water_, inner.memo_count_));
   }
 
   const ExternalResolver& externals_;
   std::vector<std::string> scope_;
   size_t high_water_ = 0;
+  size_t memo_count_ = 0;  // indexed filters compiled into this frame
   analysis::Proof proof_;
 };
 
 }  // namespace
 
+Status Node::Emit(Frame* frame, std::vector<Value>* out, bool* bottom) const {
+  AQL_ASSIGN_OR_RETURN(Value v, Run(frame));
+  if (v.is_bottom()) {
+    *bottom = true;
+    return Status::OK();
+  }
+  out->insert(out->end(), v.set().elems.begin(), v.set().elems.end());
+  return Status::OK();
+}
+
 Result<Value> Program::Run(std::vector<Value> args) const {
   obs::Span span("exec", "exec.run");
   Frame frame;
   frame.slots.resize(frame_size_);
+  frame.memos.resize(memo_count_);
   for (size_t i = 0; i < args.size() && i < frame.slots.size(); ++i) {
     frame.slots[i] = std::move(args[i]);
   }

@@ -22,8 +22,8 @@
 // Like the evaluator, loop constructs poll base/cancel.h's CheckInterrupt(),
 // so a Program::Run under an ExecScope respects deadlines/cancellation.
 // A compiled Program is immutable and safe to Run() from many threads
-// concurrently (each Run builds its own Frame) — the plan cache
-// (src/service) shares one Program across all workers.
+// concurrently (each Run builds its own Frame, memos included) — the plan
+// cache (src/service) shares one Program across all workers.
 
 #ifndef AQL_EXEC_COMPILED_H_
 #define AQL_EXEC_COMPILED_H_
@@ -41,9 +41,25 @@
 namespace aql {
 namespace exec {
 
-// Mutable register file for one activation.
+struct KeyIndex;  // an indexed filter's sorted keys (compiled.cc)
+
+// What one indexed equality filter node (compiled.cc, docs/EXEC.md §7)
+// remembers within one activation: the source set it last saw (held, so
+// its identity cannot be reused by another set), from the second sight
+// of that set on its key index, and, when the then-branch is free in the
+// binder alone, the set each run of equal keys gave.
+struct FilterMemo {
+  Value source;
+  std::shared_ptr<const KeyIndex> index;  // immutable once built
+  bool unusable = false;  // some key was ⊥ or an error: keep scanning
+  std::vector<Value> groups;  // by the run's first index position; ⊥ = not built
+};
+
+// Mutable register file for one activation. Parallel chunks copy it, so
+// each chunk's filters build and keep their own memos.
 struct Frame {
   std::vector<Value> slots;
+  std::vector<FilterMemo> memos;  // one per indexed filter node in the code
 };
 
 // A compiled expression node.
@@ -51,15 +67,24 @@ class Node {
  public:
   virtual ~Node() = default;
   virtual Result<Value> Run(Frame* frame) const = 0;
+
+  // For set-valued nodes: appends the node's elements to `out` in
+  // evaluation order, uncanonicalized, or sets *bottom and stops on ⊥.
+  // The consumer canonicalizes once (Value::MakeSet). The default runs
+  // the node and appends its set; singletons, unions, ifs and big unions
+  // stream instead of building intermediate sets.
+  virtual Status Emit(Frame* frame, std::vector<Value>* out, bool* bottom) const;
 };
 
 using NodePtr = std::unique_ptr<const Node>;
 
 class Program {
  public:
-  Program(NodePtr root, size_t frame_size, analysis::Proof proof = {})
+  Program(NodePtr root, size_t frame_size, size_t memo_count,
+          analysis::Proof proof = {})
       : root_(std::move(root)),
         frame_size_(frame_size),
+        memo_count_(memo_count),
         proof_(std::move(proof)) {}
 
   // Executes the program; `args` (if any) pre-populate the first slots —
@@ -78,6 +103,7 @@ class Program {
  private:
   NodePtr root_;
   size_t frame_size_;
+  size_t memo_count_;
   analysis::Proof proof_;
 };
 

@@ -83,8 +83,8 @@ bool BuildDimOf(const Expr& arr, size_t rank, size_t j, const SpecScope& scope,
 // Structural admission of the kernel fragment. Mirrors the runtime nodes
 // of compiled.cc exactly where it matters: nat arithmetic wraps, monus
 // truncates, nat div/mod by zero is ⊥, real div by zero is IEEE (not ⊥),
-// comparisons are the 3-way `x<y ? -1 : y<x ? 1 : 0` (so NaN compares
-// equal to everything, as in Value::Compare).
+// comparisons are 3-way, reals through CompareReals (NaN above every other
+// real and equal to every NaN, as in Value::Compare).
 bool BuildSpec(const Expr& e, SpecScope* scope, KernelSpec* out) {
   switch (e.kind()) {
     case ExprKind::kNatConst:
@@ -655,7 +655,7 @@ bool Kernel::BoolAt(const RtNode& n, uint64_t* idx, uint8_t* out) {
         case Type::kReal: {
           double x, y;
           if (!RealAt(n.kids[0], idx, &x) || !RealAt(n.kids[1], idx, &y)) return false;
-          c = x < y ? -1 : y < x ? 1 : 0;  // NaN compares equal, like Cmp3
+          c = CompareReals(x, y);  // the order Value::Compare uses
           break;
         }
         case Type::kBool: {
@@ -825,7 +825,7 @@ uint8_t Kernel::BoolAtU(const RtNode& n, uint64_t* idx) {
         case Type::kReal: {
           double x = RealAtU(n.kids[0], idx);
           double y = RealAtU(n.kids[1], idx);
-          c = x < y ? -1 : y < x ? 1 : 0;  // NaN compares equal, like Cmp3
+          c = CompareReals(x, y);  // the order Value::Compare uses
           break;
         }
         case Type::kBool: {

@@ -53,8 +53,11 @@ struct ExecStats {
   std::atomic<uint64_t> par_tasks{0};      // ParallelFor invocations that went parallel
   std::atomic<uint64_t> par_chunks{0};     // chunks executed by parallel loops
   std::atomic<uint64_t> unboxed_arrays{0};  // arrays materialized with an unboxed payload
+  std::atomic<uint64_t> kernels{0};  // tabulations a fused kernel produced (checked or not)
   std::atomic<uint64_t> unchecked_kernels{0};  // tabulations run without per-cell checks
   std::atomic<uint64_t> tab_pushdowns{0};  // tabs served by one bulk tile-store range read
+  std::atomic<uint64_t> filter_indexed{0};  // equality-filter probes answered from a key index
+  std::atomic<uint64_t> index_streamed{0};  // index_k results bucketed from streamed pairs
 };
 ExecStats& GlobalExecStats();
 

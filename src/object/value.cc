@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -83,11 +84,35 @@ Value Value::MakeTuple(std::vector<Value> fields) {
 }
 
 Value Value::MakeSet(std::vector<Value> elems) {
-  std::sort(elems.begin(), elems.end(),
-            [](const Value& a, const Value& b) { return Compare(a, b) < 0; });
-  elems.erase(std::unique(elems.begin(), elems.end(),
-                          [](const Value& a, const Value& b) { return Compare(a, b) == 0; }),
-              elems.end());
+  // Streamed comprehensions over ordered sources usually emit ascending
+  // runs: one pass decides whether the sort (and the dedup) can be skipped.
+  bool sorted = true, strict = true;
+  for (size_t i = 1; i < elems.size(); ++i) {
+    const int c = Compare(elems[i - 1], elems[i]);
+    if (c > 0) {
+      sorted = false;
+      break;
+    }
+    strict = strict && c != 0;
+  }
+  if (!sorted) {
+    std::sort(elems.begin(), elems.end(),
+              [](const Value& a, const Value& b) { return Compare(a, b) < 0; });
+  }
+  if (!sorted || !strict) {
+    // Each run of equal elements keeps its member with the least bits.
+    size_t out = 0;
+    for (size_t run = 0; run < elems.size();) {
+      size_t best = run, end = run + 1;
+      for (; end < elems.size() && Compare(elems[run], elems[end]) == 0; ++end) {
+        if (CompareEqualsByBits(elems[end], elems[best]) < 0) best = end;
+      }
+      if (out != best) elems[out] = std::move(elems[best]);
+      ++out;
+      run = end;
+    }
+    elems.resize(out);
+  }
   return MakeSetCanonical(std::move(elems));
 }
 
@@ -249,11 +274,15 @@ int CompareValueVectors(const std::vector<Value>& a, const std::vector<Value>& b
   return Cmp3(a.size(), b.size());
 }
 
+int CmpScalar(uint64_t a, uint64_t b) { return Cmp3(a, b); }
+int CmpScalar(uint8_t a, uint8_t b) { return Cmp3(a, b); }
+int CmpScalar(double a, double b) { return CompareReals(a, b); }
+
 template <typename T>
 int CompareScalarVectors(const std::vector<T>& a, const std::vector<T>& b) {
   size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
-    if (int c = Cmp3(a[i], b[i]); c != 0) return c;
+    if (int c = CmpScalar(a[i], b[i]); c != 0) return c;
   }
   return Cmp3(a.size(), b.size());
 }
@@ -290,10 +319,16 @@ int Value::Compare(const Value& a, const Value& b) {
     case ValueKind::kBottom: return 0;
     case ValueKind::kBool: return Cmp3(a.bool_value(), b.bool_value());
     case ValueKind::kNat: return Cmp3(a.nat_value(), b.nat_value());
-    case ValueKind::kReal: return Cmp3(a.real_value(), b.real_value());
+    case ValueKind::kReal: return CompareReals(a.real_value(), b.real_value());
     case ValueKind::kString: return a.str_value().compare(b.str_value());
-    case ValueKind::kTuple: return CompareValueVectors(a.tuple_fields(), b.tuple_fields());
-    case ValueKind::kSet: return CompareValueVectors(a.set().elems, b.set().elems);
+    case ValueKind::kTuple: {
+      if (&a.tuple_fields() == &b.tuple_fields()) return 0;  // shared rep
+      return CompareValueVectors(a.tuple_fields(), b.tuple_fields());
+    }
+    case ValueKind::kSet: {
+      if (&a.set() == &b.set()) return 0;  // shared rep (e.g. a memoized group)
+      return CompareValueVectors(a.set().elems, b.set().elems);
+    }
     case ValueKind::kArray: {
       // Dimensions first, then row-major content: this makes <_[[t]]_k a
       // lexicographic product of linear orders, hence linear.
@@ -313,6 +348,43 @@ int Value::Compare(const Value& a, const Value& b) {
     }
   }
   return 0;
+}
+
+int CompareEqualsByBits(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return Cmp3(static_cast<int>(a.kind()), static_cast<int>(b.kind()));
+  switch (a.kind()) {
+    case ValueKind::kReal: {
+      const double x = a.real_value(), y = b.real_value();
+      uint64_t bx, by;
+      std::memcpy(&bx, &x, sizeof bx);
+      std::memcpy(&by, &y, sizeof by);
+      return Cmp3(bx, by);
+    }
+    case ValueKind::kTuple:
+    case ValueKind::kSet: {
+      const std::vector<Value>& x =
+          a.kind() == ValueKind::kTuple ? a.tuple_fields() : a.set().elems;
+      const std::vector<Value>& y =
+          b.kind() == ValueKind::kTuple ? b.tuple_fields() : b.set().elems;
+      if (&x == &y) return 0;
+      for (size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
+        if (int c = CompareEqualsByBits(x[i], y[i]); c != 0) return c;
+      }
+      return Cmp3(x.size(), y.size());
+    }
+    case ValueKind::kArray: {
+      const ArrayRep& x = a.array();
+      const ArrayRep& y = b.array();
+      if (&x == &y) return 0;
+      const uint64_t n = std::min(x.Count(), y.Count());
+      for (uint64_t i = 0; i < n; ++i) {
+        if (int c = CompareEqualsByBits(x.At(i), y.At(i)); c != 0) return c;
+      }
+      return Cmp3(x.Count(), y.Count());
+    }
+    default:
+      return 0;  // equal under Compare means equal bits
+  }
 }
 
 bool Value::SetContains(const Value& elem) const {
@@ -335,7 +407,7 @@ Value Value::SetUnion(const Value& a, const Value& b) {
     } else if (c > 0) {
       out.push_back(y[j++]);
     } else {
-      out.push_back(x[i]);
+      out.push_back(CompareEqualsByBits(y[j], x[i]) < 0 ? y[j] : x[i]);
       ++i;
       ++j;
     }
@@ -508,8 +580,10 @@ inline uint64_t HashScalarNat(uint64_t n) {
   return HashMix(kHashBase + static_cast<uint64_t>(ValueKind::kNat), n);
 }
 inline uint64_t HashScalarReal(double d) {
-  // Compare treats +0.0 and -0.0 as equal; normalize before hashing bits.
+  // Compare treats +0.0 and -0.0 as equal, and every NaN as equal to
+  // every other; normalize both before hashing bits.
   if (d == 0.0) d = 0.0;
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d));
   std::memcpy(&bits, &d, sizeof(bits));

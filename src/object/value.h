@@ -29,6 +29,7 @@
 #define AQL_OBJECT_VALUE_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -192,7 +193,11 @@ class Value {
   static Value Real(double d) { return Value(Rep(d)); }
   static Value Str(std::string s);
   static Value MakeTuple(std::vector<Value> fields);
-  // Builds a canonical set: sorts and deduplicates.
+  // Builds a canonical set: sorts and deduplicates. Of elements that
+  // compare equal but differ in bits (0.0 and -0.0, NaNs of either sign)
+  // the least by CompareEqualsByBits survives, so a set's bits do not
+  // depend on the order its elements were produced in. Input that is
+  // already ascending skips the sort.
   static Value MakeSet(std::vector<Value> elems);
   // Precondition: already sorted and deduplicated (checked in debug builds).
   static Value MakeSetCanonical(std::vector<Value> elems);
@@ -231,8 +236,8 @@ class Value {
 
   // The definable linear order <_t of the paper (see [21]): total over all
   // values, kind-rank first, then structural/lexicographic within a kind.
-  // Function values compare by identity (they never occur inside data).
-  // Returns <0, 0, >0.
+  // Reals order by CompareReals below. Function values compare by
+  // identity (they never occur inside data). Returns <0, 0, >0.
   static int Compare(const Value& a, const Value& b);
 
   bool Equals(const Value& other) const { return Compare(*this, other) == 0; }
@@ -240,7 +245,8 @@ class Value {
   bool operator!=(const Value& other) const { return !Equals(other); }
   bool operator<(const Value& other) const { return Compare(*this, other) < 0; }
 
-  // Set helpers (operate on canonical reps).
+  // Set helpers (operate on canonical reps). SetUnion keeps the same
+  // representative MakeSet would.
   bool SetContains(const Value& elem) const;
   static Value SetUnion(const Value& a, const Value& b);
 
@@ -269,6 +275,26 @@ class Value {
 
   Rep rep_;
 };
+
+// The order on reals inside <_t: IEEE order, with -0.0 equal to 0.0 and
+// every NaN equal to every other NaN and above every other real. That
+// makes it a strict weak order, which sorting, deduplication and the
+// exec layer's key indexes rely on; IEEE `<` alone would make NaN equal
+// to every real and the order intransitive. Shared by Value::Compare,
+// real-array comparison and the exec kernels' comparisons.
+inline int CompareReals(double a, double b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  const bool na = std::isnan(a), nb = std::isnan(b);
+  return na == nb ? 0 : (na ? 1 : -1);
+}
+
+// A total order on the bits of values that Value::Compare finds equal:
+// reals by their IEEE bit patterns (so 0.0 before -0.0, +NaN before -NaN),
+// tuples, sets and arrays element-wise, every other kind 0. It picks the
+// one representative a canonical set keeps of each class of equal
+// elements, whatever order (or grouping) produced them.
+int CompareEqualsByBits(const Value& a, const Value& b);
 
 // Overflow-checked row-major volume of a dims vector, validated against
 // the tabulation element cap CurrentExecOptions().max_elems

@@ -292,7 +292,10 @@ void QueryService::SyncExecStats() const {
   sync(exec_par_chunks_, stats.par_chunks);
   sync(exec_unboxed_arrays_, stats.unboxed_arrays);
   sync(exec_unchecked_kernels_, stats.unchecked_kernels);
+  sync(metrics_.GetCounter("exec.kernels"), stats.kernels);
   sync(metrics_.GetCounter("exec.tab.pushdowns"), stats.tab_pushdowns);
+  sync(metrics_.GetCounter("exec.filter.indexed"), stats.filter_indexed);
+  sync(metrics_.GetCounter("exec.index.streamed"), stats.index_streamed);
 
   // Same delta treatment for the per-mutex contention counters
   // (base/sync.h). Names arrive dotted-lowercase, so they pass

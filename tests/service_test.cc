@@ -415,11 +415,11 @@ TEST(ServiceFoldTest, MatmulAndConvRunAsFoldKernels) {
     EXPECT_TRUE(SumsKeepTheirGen(*plan)) << q << ": " << (*plan)->ToString();
     EXPECT_EQ((*plan)->ToString().find("cm$"), std::string::npos) << (*plan)->ToString();
 
-    const uint64_t unboxed = SyncedCounter(&svc, "exec.unboxed.arrays");
+    const uint64_t kernels = SyncedCounter(&svc, "exec.kernels");
     Result<Value> got = svc.Execute(q, fresh);
     ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
-    EXPECT_GT(SyncedCounter(&svc, "exec.unboxed.arrays"), unboxed)
-        << q << " did not run as an unboxed kernel";
+    EXPECT_GT(SyncedCounter(&svc, "exec.kernels"), kernels)
+        << q << " did not run as a fold kernel";
     EXPECT_TRUE(got->array().unboxed()) << q;
 
     Result<ExprPtr> core = sys.CompileUnoptimized(q);
@@ -428,6 +428,41 @@ TEST(ServiceFoldTest, MatmulAndConvRunAsFoldKernels) {
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     EXPECT_TRUE(testing::SameBits(*got, *ref))
         << q << "\nservice:     " << got->ToString() << "\ntree walker: " << ref->ToString();
+  }
+}
+
+TEST(ServiceGroupTest, GroupByAndHistTakeTheIndexedPaths) {
+  // The paper-analytics group-by (nest!) answers its inner filter's probes
+  // from a key index, and hist_fast!(E) buckets the pairs index_1's
+  // comprehension streams; both answers are the tree walker's on the
+  // unoptimized term, bit for bit, and :stats shows the counters.
+  System sys;
+  std::vector<uint64_t> e;
+  for (uint64_t i = 0; i < 2048; ++i) e.push_back(i * 37 % 64);
+  ASSERT_TRUE(sys.DefineVal("E", *Value::MakeNatArray({2048}, e)).ok());
+  QueryService svc(&sys, {.num_workers = 1});
+  QueryOptions fresh;
+  fresh.use_result_cache = false;
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"{ (k, sumset!vs) | (\\k, \\vs) <- nest!({ (x % 16, x * x) | \\x <- gen!128 }) }",
+       "exec.filter.indexed"},
+      {"hist_fast!(E)", "exec.index.streamed"}};
+  for (const auto& [q, counter] : queries) {
+    const uint64_t before = SyncedCounter(&svc, counter);
+    Result<Value> got = svc.Execute(q, fresh);
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    EXPECT_GT(SyncedCounter(&svc, counter), before) << q << " did not move " << counter;
+
+    Result<ExprPtr> core = sys.CompileUnoptimized(q);
+    ASSERT_TRUE(core.ok());
+    Result<Value> ref = sys.EvalCore(*core);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_TRUE(testing::SameBits(*got, *ref))
+        << q << "\nservice:     " << got->ToString() << "\ntree walker: " << ref->ToString();
+  }
+  const std::string report = svc.StatsReport();
+  for (const char* name : {"exec.filter.indexed", "exec.index.streamed", "exec.kernels"}) {
+    EXPECT_NE(report.find(name), std::string::npos) << name << " missing from\n" << report;
   }
 }
 

@@ -99,8 +99,8 @@ class ScopedEnv {
 // Bit-for-bit equality: same kinds all the way down, reals compared by
 // their bit patterns (so -0.0 differs from 0.0, and NaNs must match
 // exactly), arrays by dims and elements whatever their payload. Stricter
-// than Value::operator==, whose total order makes NaN equal to every
-// real.
+// than Value::operator==, whose order makes -0.0 equal to 0.0 and every
+// NaN equal to every other NaN (CompareReals).
 inline bool SameBits(const Value& a, const Value& b) {
   if (a.kind() != b.kind()) return false;
   switch (a.kind()) {

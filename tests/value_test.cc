@@ -3,6 +3,13 @@
 
 #include "object/value.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -32,6 +39,9 @@ TEST(ValueSets, CanonicalizationSortsAndDeduplicates) {
   EXPECT_EQ(s.set().elems[0].nat_value(), 1u);
   EXPECT_EQ(s.set().elems[1].nat_value(), 2u);
   EXPECT_EQ(s.set().elems[2].nat_value(), 3u);
+  // Already ascending input (MakeSet skips the sort) still deduplicates.
+  EXPECT_EQ(Value::MakeSet({Value::Nat(1), Value::Nat(2), Value::Nat(2), Value::Nat(5)}).ToString(),
+            "{1, 2, 5}");
 }
 
 TEST(ValueSets, StructuralEqualityIgnoresInsertionOrder) {
@@ -142,6 +152,81 @@ TEST_P(ValueOrderProperty, TotalOrderLaws) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ValueOrderProperty,
                          ::testing::Values(1, 7, 42, 1996, 20260706));
+
+// NaN sorts above every other real and equals every NaN, whatever its
+// sign; -0.0 equals 0.0. Before, NaN compared equal to every real, so the
+// order was not transitive and std::sort's comparator was not a strict
+// weak order.
+TEST(ValueOrder, NaNIsAboveEveryRealAndEqualToEveryNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> reals = {-std::numeric_limits<double>::infinity(), -1.0, -0.0,
+                                     0.0, 0.5, std::numeric_limits<double>::infinity()};
+  for (double r : reals) {
+    EXPECT_LT(Value::Compare(Value::Real(r), Value::Real(nan)), 0) << r;
+    EXPECT_GT(Value::Compare(Value::Real(-nan), Value::Real(r)), 0) << r;
+  }
+  EXPECT_EQ(Value::Compare(Value::Real(nan), Value::Real(-nan)), 0);
+  EXPECT_EQ(Value::Compare(Value::Real(-0.0), Value::Real(0.0)), 0);
+  EXPECT_EQ(CompareReals(nan, 1.0), 1);
+  EXPECT_EQ(CompareReals(1.0, -nan), -1);
+  // Real arrays order by the same rule, element by element.
+  Value with_nan = *Value::MakeRealArray({2}, {nan, 1.0});
+  Value with_one = *Value::MakeRealArray({2}, {1.0, 1.0});
+  EXPECT_GT(Value::Compare(with_nan, with_one), 0);
+  EXPECT_EQ(Value::Compare(with_nan, *Value::MakeRealArray({2}, {-nan, 1.0})), 0);
+}
+
+TEST(ValueSets, NaNSetIsTheSameForEveryInputOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> in = {1.0, nan, 2.0, 0.5};
+  std::sort(in.begin(), in.end(), [](double a, double b) { return CompareReals(a, b) < 0; });
+  const Value want = Value::MakeSet({Value::Real(0.5), Value::Real(1.0), Value::Real(2.0),
+                                     Value::Real(nan)});
+  ASSERT_EQ(want.set().elems.size(), 4u);
+  do {
+    std::vector<Value> elems;
+    for (double d : in) elems.push_back(Value::Real(d));
+    Value got = Value::MakeSet(std::move(elems));
+    EXPECT_TRUE(testing::SameBits(got, want)) << got.ToString();
+  } while (std::next_permutation(
+      in.begin(), in.end(), [](double a, double b) { return CompareReals(a, b) < 0; }));
+}
+
+TEST(ValueSets, EqualElementsKeepTheLeastBitsWhateverTheOrder) {
+  // 0.0 and -0.0 (and +NaN and -NaN) are one element; the set keeps the
+  // member with the least bits, from MakeSet and SetUnion alike, and
+  // inside tuples too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [a, b] : std::vector<std::pair<double, double>>{{-0.0, 0.0}, {-nan, nan}}) {
+    const Value want = Value::MakeSet({Value::Real(b)});
+    EXPECT_TRUE(testing::SameBits(Value::MakeSet({Value::Real(a), Value::Real(b)}), want));
+    EXPECT_TRUE(testing::SameBits(Value::MakeSet({Value::Real(b), Value::Real(a)}), want));
+    EXPECT_TRUE(testing::SameBits(
+        Value::SetUnion(Value::MakeSet({Value::Real(a)}), Value::MakeSet({Value::Real(b)})),
+        want));
+    EXPECT_TRUE(testing::SameBits(
+        Value::SetUnion(Value::MakeSet({Value::Real(b)}), Value::MakeSet({Value::Real(a)})),
+        want));
+    const Value pair_a = Value::MakeTuple({Value::Nat(1), Value::Real(a)});
+    const Value pair_b = Value::MakeTuple({Value::Nat(1), Value::Real(b)});
+    EXPECT_TRUE(testing::SameBits(Value::MakeSet({pair_a, Value::Nat(0), pair_b}),
+                                  Value::MakeSet({Value::Nat(0), pair_b})));
+  }
+}
+
+TEST(ValueHash, EveryNaNHashesAlike) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  uint64_t payload;
+  std::memcpy(&payload, &nan, sizeof payload);
+  payload |= 1;  // another quiet NaN, same sign
+  double other;
+  std::memcpy(&other, &payload, sizeof other);
+  ASSERT_TRUE(std::isnan(other));
+  EXPECT_EQ(HashValue(Value::Real(nan)), HashValue(Value::Real(-nan)));
+  EXPECT_EQ(HashValue(Value::Real(nan)), HashValue(Value::Real(other)));
+  EXPECT_EQ(HashValue(*Value::MakeRealArray({2}, {nan, 0.0})),
+            HashValue(*Value::MakeRealArray({2}, {-nan, -0.0})));
+}
 
 TEST(ValuePrint, ExchangeFormat) {
   EXPECT_EQ(Value::Nat(5).ToString(), "5");
